@@ -22,6 +22,7 @@ from .corpus import (
     DataError,
     ParseError,
     ReferenceSet,
+    _parse_sent_id,
     format_float,
     format_weights,
     parse_nbest,
@@ -104,10 +105,7 @@ def _read_hyp_sentences(path: str) -> dict[int, tuple[str, ...]]:
         fields = [f.strip() for f in raw.split("|||")]
         if len(fields) not in (2, 4):
             raise ParseError(line_no, f"expected 2 or 4 '|||'-separated fields, got {len(fields)}")
-        try:
-            sent_id = int(fields[0])
-        except ValueError:
-            raise ParseError(line_no, f"sentence id {fields[0]!r} is not an integer") from None
+        sent_id = _parse_sent_id(fields[0], line_no)
         if sent_id not in first:
             first[sent_id] = tuple(fields[1].split())
     return first
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=500, help="optimizer iteration cap (default 500)")
     p.add_argument("--seed", type=int, default=42, help="root random seed (default 42)")
     p.add_argument("--sample-size", type=int, default=None, help="resample lists to this size")
-    p.add_argument("--workers", type=int, default=1, help="evaluation threads (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--history", default=None, help="write per-iteration CSV here")
     p.set_defaults(func=cmd_train)
 

@@ -4,27 +4,26 @@ Each hypothesis list induces a softmax distribution over its candidates
 from the linear scores ``H @ w``.  A ranked prefix (the "ground truth"
 permutation) is scored by sequential choice: the probability of picking
 its first element from the whole list, times the probability of picking
-the second from what remains, and so on.  The training objective sums
-these log-probabilities over all lists and subtracts a Gaussian penalty
-``l2_scale/2 * ||w||^2``; it is concave in ``w`` with an analytic gradient.
+the second from what remains, and so on (the Plackett-Luce / ListMLE
+likelihood).  The training objective sums these log-probabilities over all
+lists and subtracts a Gaussian penalty ``l2_scale/2 * ||w||^2``; it is
+concave in ``w`` with an analytic gradient.
 
-All reductions over instances run in a fixed tree order over fixed-size
-chunks, so objective and gradient are bit-identical regardless of how many
-worker threads evaluate the chunks.
+Evaluation is one vectorized pass over a padded (lists x longest list)
+block per fixed-size chunk of instances; chunks are reduced serially in
+input order, so objective and gradient are bit-identical from run to run.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-# instances per evaluation chunk; fixed so the reduction tree never depends
-# on the worker count
+# instances per evaluation chunk; fixed so the padding stays small and the
+# reduction order never changes
 _CHUNK = 64
 
 
@@ -77,13 +76,23 @@ class PLInstance:
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    m = scores.max()
-    return scores - (m + math.log(np.exp(scores - m).sum()))
+    """Log-softmax along the last axis; -inf entries (padding) stay -inf."""
+    m = scores.max(axis=-1, keepdims=True)
+    return scores - (m + np.log(np.exp(scores - m).sum(axis=-1, keepdims=True)))
 
 
-def _suffix_logsumexp(x: np.ndarray) -> np.ndarray:
-    """out[j] = logsumexp(x[j:]), computed stably in one backward sweep."""
-    return np.logaddexp.accumulate(x[::-1])[::-1]
+def _prefix_terms(lp: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranked-prefix log-likelihood of each row of a padded block.
+
+    ``lp`` holds each list's log-probabilities in choice order, -inf padded;
+    ``chosen`` marks the prefix columns ``j < k``.  Also returns ``logz``, the
+    log of the mass still available at each prefix step (0 at step 0, where
+    the distribution already sums to 1, and 0 past the prefix).
+    """
+    logz = np.logaddexp.accumulate(lp[:, ::-1], axis=1)[:, ::-1]
+    logz[:, 0] = 0.0
+    logz = np.where(chosen, logz, 0.0)
+    return np.where(chosen, lp, 0.0).sum(axis=1) - logz.sum(axis=1), logz
 
 
 def list_distribution(features: sp.csr_matrix | np.ndarray, w: np.ndarray) -> ListDistribution:
@@ -110,70 +119,59 @@ def permutation_log_prob(dist: ListDistribution, perm) -> float:
     if ranks.size and (ranks.min() < 0 or ranks.max() >= n or np.unique(ranks).size != ranks.size):
         raise ValueError("invalid permutation indices")
     rest = np.setdiff1d(np.arange(n, dtype=np.int64), ranks)
-    sorted_lp = lp[np.concatenate([ranks, rest])]
-    k = ranks.size
-    logz = _suffix_logsumexp(sorted_lp)[:k].copy()
-    logz[0] = 0.0
-    return float(sorted_lp[:k].sum() - logz.sum())
-
-
-def _choice_terms(scores: np.ndarray, order: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """Log-likelihood of the ranked prefix plus per-row gradient coefficients.
-
-    Returns (value, contrib) with ``grad = contrib @ H``: each chosen row
-    contributes +1, and every row t still available at step j contributes
-    -p(t)/Z_j, folded into a single coefficient per row.
-    """
-    lp = _log_softmax(scores)
-    sorted_lp = lp[order]
-    logz = _suffix_logsumexp(sorted_lp)[:k].copy()
-    logz[0] = 0.0
-    value = float(sorted_lp[:k].sum() - logz.sum())
-    # row at position q of `order` is available at steps 0..min(q, k-1)
-    cum_inv_z = np.cumsum(np.exp(-logz))
-    mult = np.full(sorted_lp.size, cum_inv_z[k - 1])
-    mult[:k] = cum_inv_z
-    contrib = np.empty(sorted_lp.size)
-    contrib[order] = -np.exp(sorted_lp) * mult
-    contrib[order[:k]] += 1.0
-    return value, contrib
+    sorted_lp = lp[np.concatenate([ranks, rest])][None]
+    values, _ = _prefix_terms(sorted_lp, np.arange(n)[None] < ranks.size)
+    return float(values[0])
 
 
 class _Chunk:
-    """A fixed block of instances evaluated with two sparse matvecs."""
+    """A fixed block of instances evaluated with two sparse matvecs and
+    whole-array operations on a padded (lists x longest list) block."""
 
-    __slots__ = ("matrix", "bounds", "orders", "ks")
+    __slots__ = ("matrix", "gather", "scatter", "chosen", "last")
 
     def __init__(self, instances: Sequence[PLInstance]):
         self.matrix = sp.vstack([inst.features for inst in instances], format="csr")
-        sizes = [inst.features.shape[0] for inst in instances]
-        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
-        self.orders = [inst.order for inst in instances]
-        self.ks = [inst.k for inst in instances]
+        sizes = np.array([inst.features.shape[0] for inst in instances])
+        ks = np.array([inst.k for inst in instances])[:, None]
+        rows = int(sizes.sum())
+        cols = np.arange(sizes.max())
+        valid = cols < sizes[:, None]
+        starts = np.cumsum(sizes) - sizes
+        # block position (i, q) holds row order_i[q] of list i; padding
+        # points at a -inf sentinel appended after the last score
+        self.gather = np.full(valid.shape, rows)
+        self.gather[valid] = np.concatenate([s + inst.order for s, inst in zip(starts, instances)])
+        # flat block position of every row, to scatter coefficients back
+        self.scatter = np.empty(rows, dtype=np.intp)
+        self.scatter[self.gather[valid]] = np.flatnonzero(valid)
+        self.chosen = cols < ks
+        # row at column q is still available at steps 0..min(q, k-1)
+        self.last = np.minimum(cols, ks - 1)
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        scores = np.asarray(self.matrix @ w).ravel()
-        values = np.empty(len(self.ks))
-        contrib = np.empty(scores.size)
-        for i, (order, k) in enumerate(zip(self.orders, self.ks)):
-            lo, hi = self.bounds[i], self.bounds[i + 1]
-            values[i], contrib[lo:hi] = _choice_terms(scores[lo:hi], order, k)
+        scores = self.matrix @ w
+        lp = _log_softmax(np.append(scores, -np.inf)[self.gather])
+        values, logz = _prefix_terms(lp, self.chosen)
+        # each chosen row adds +1; a row still available at step j adds -p/Z_j
+        mult = np.take_along_axis(np.cumsum(np.exp(-logz), axis=1), self.last, axis=1)
+        contrib = (self.chosen - np.exp(lp) * mult).ravel()[self.scatter]
         return float(np.sum(values)), np.asarray(contrib @ self.matrix).ravel()
 
 
 def make_evaluator(
     instances: Sequence[PLInstance], l2_scale: float = 1.0, workers: int = 1
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Build a reusable ``w -> (objective, gradient)`` over fixed chunks."""
+    """Build a reusable ``w -> (objective, gradient)`` over fixed chunks.
+
+    ``workers`` is accepted for compatibility and has no effect: evaluation
+    is one vectorized pass.
+    """
     chunks = [_Chunk(instances[i : i + _CHUNK]) for i in range(0, len(instances), _CHUNK)]
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(w, dtype=float)
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda c: c.evaluate(w), chunks))
-        else:
-            parts = [c.evaluate(w) for c in chunks]
+        parts = [c.evaluate(w) for c in chunks]
         if parts:
             value = float(np.sum(np.array([p[0] for p in parts])))
             grad = np.sum(np.stack([p[1] for p in parts]), axis=0)

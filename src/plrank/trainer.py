@@ -33,8 +33,8 @@ class TrainConfig:
 
     ``sample_size`` of None trains on full (deduplicated) lists; otherwise
     every longer list is resampled down to that many hypotheses first.
-    ``workers`` only spreads instance evaluation over threads; results are
-    bit-identical for any value.
+    ``workers`` is accepted for compatibility and has no effect: likelihood
+    evaluation is one vectorized pass, bit-identical for any value.
     """
 
     k: int = 5
@@ -330,7 +330,10 @@ def train(
             raise ValueError(f"w0 has shape {w0.shape}, expected ({n_features},)")
     instances = build_instances(corpus, refs, cfg, w0)
     evaluate = make_evaluator(instances, cfg.l2_scale, cfg.workers)
-    return lbfgs_maximize(evaluate, w0, cfg)
+    # extreme feature values overflow the objective or the search direction;
+    # the optimizer's finiteness check reports that instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return lbfgs_maximize(evaluate, w0, cfg)
 
 
 def richness(corpus: Corpus) -> RichnessReport:

@@ -1,5 +1,7 @@
 """Command-line behavior: happy paths, output formats, and exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,20 @@ class TestTrain:
         )
         assert code == 1
         assert stderr.startswith("error:")
+
+    def test_overflowing_feature_value_gives_one_error_line(self, workdir, capsys):
+        (workdir / "nbest.txt").write_text(NBEST.replace("lm=1.0 tm=0.5", "lm=1e308 tm=0.5"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy RuntimeWarning fails the run
+            code, _, stderr = run(
+                capsys,
+                "train",
+                "--nbest", workdir / "nbest.txt",
+                "--refs", workdir / "refs.txt",
+                "--out", workdir / "w.txt",
+            )
+        assert code == 1
+        assert stderr.splitlines() == ["error: non-finite objective or gradient at iteration 1"]
 
 
 class TestRerank:
@@ -213,6 +229,15 @@ class TestEvaluate:
         )
         assert code == 1
         assert "9" in stderr
+
+    def test_negative_sentence_id_names_line(self, evaldir, capsys):
+        hyp = evaldir / "hyp.txt"
+        hyp.write_text("0 ||| a b c d e\n-3 ||| a b c\n")
+        code, _, stderr = run(
+            capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt"
+        )
+        assert code == 1
+        assert stderr.strip() == "error: line 2: sentence id -3 is negative"
 
 
 class TestRichness:

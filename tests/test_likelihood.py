@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plrank.likelihood import (
     ListDistribution,
     PLInstance,
     gradient,
     list_distribution,
+    make_evaluator,
     objective,
     objective_and_gradient,
     permutation_log_prob,
@@ -240,3 +243,73 @@ class TestObjectiveAndGradient:
         dist = list_distribution(dense, w)
         b = permutation_log_prob(dist, ranks) - 0.5 * float(w @ w)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+N_FEATURES = 4
+
+
+@st.composite
+def ragged_instances(draw, sizes=st.integers(1, 40)):
+    """More than one 64-instance chunk of lists with 1..40 rows and 1 <= k <= n."""
+    ns = draw(st.lists(sizes, min_size=65, max_size=150))
+    ks = [draw(st.integers(1, n)) for n in ns]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instances = []
+    for n, k in zip(ns, ks):
+        dense = rng.standard_normal((n, N_FEATURES))
+        dense[rng.random(dense.shape) < 0.3] = 0.0
+        instances.append(PLInstance(len(instances), sp.csr_matrix(dense), rng.permutation(n)[:k]))
+    return instances, rng.standard_normal(N_FEATURES)
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class TestChunkedKernelProperties:
+    @PROPERTY_SETTINGS
+    @given(ragged_instances(), st.floats(0.0, 2.0))
+    def test_objective_is_sum_of_list_log_probs(self, drawn, l2):
+        instances, w = drawn
+        expected = sum(
+            permutation_log_prob(list_distribution(inst.features, w), inst.ranks)
+            for inst in instances
+        ) - 0.5 * l2 * float(w @ w)
+        assert objective(instances, w, l2) == pytest.approx(expected, rel=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(ragged_instances())
+    def test_gradient_matches_central_differences(self, drawn):
+        instances, w = drawn
+        evaluate = make_evaluator(instances, 0.5)
+        g = evaluate(w)[1]
+        h = 1e-5
+        for i in range(N_FEATURES):
+            e = np.zeros(N_FEATURES)
+            e[i] = h
+            fd = (evaluate(w + e)[0] - evaluate(w - e)[0]) / (2 * h)
+            assert abs(g[i] - fd) <= 1e-6 * max(1.0, abs(fd)), f"coordinate {i}"
+
+    @PROPERTY_SETTINGS
+    @given(ragged_instances(sizes=st.one_of(st.just(1), st.integers(2, 40))), st.data())
+    def test_one_row_list_contributes_exactly_zero(self, drawn, data):
+        instances, w = drawn
+        # other features on every 1-row list leave every bit unchanged ...
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        swapped = [
+            PLInstance(inst.sent_id, sp.csr_matrix(rng.standard_normal((1, N_FEATURES))), inst.ranks)
+            if inst.features.shape[0] == 1 else inst
+            for inst in instances
+        ]
+        value, grad = objective_and_gradient(instances, w, 0.5)
+        swapped_value, swapped_grad = objective_and_gradient(swapped, w, 0.5)
+        assert value == swapped_value
+        assert np.array_equal(grad, swapped_grad)
+        # ... and a corpus of only 1-row lists leaves just the penalty
+        singles = [inst for inst in swapped if inst.features.shape[0] == 1]
+        value, grad = objective_and_gradient(singles, w, 0.5)
+        assert value == -0.25 * float(w @ w)
+        assert np.array_equal(grad, -0.5 * w)
