@@ -69,13 +69,17 @@ class Permutation:
 def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
     counts: Counter = Counter()
     for n in range(1, max_n + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
+        counts.update(zip(*[tokens[i:] for i in range(n)]))
     return counts
 
 
 class ReferenceStats:
-    """Per-sentence reference profile, reusable across many hypotheses."""
+    """Per-sentence reference profile, reusable across many hypotheses.
+
+    ``stats_for`` remembers the statistics of every hypothesis it has
+    scored, so a profile kept for a whole run scores each distinct token
+    sequence once.
+    """
 
     def __init__(self, refs: Sequence[Sequence[str]], max_n: int = DEFAULT_MAX_N):
         if not refs:
@@ -87,19 +91,37 @@ class ReferenceStats:
             for gram, count in _ngram_counts(ref, max_n).items():
                 if count > self.clip[gram]:
                     self.clip[gram] = count
+        self._memo: dict[tuple[str, ...], BleuStats] = {}
 
     def _effective_ref_len(self, hyp_len: int) -> int:
         return min(self.lengths, key=lambda n: (abs(n - hyp_len), n))
 
     def stats_for(self, hyp_tokens: Sequence[str]) -> BleuStats:
+        key = tuple(hyp_tokens)
+        stats = self._memo.get(key)
+        if stats is None:
+            stats = self._memo[key] = self._compute(key)
+        return stats
+
+    def _compute(self, hyp_tokens: tuple[str, ...]) -> BleuStats:
         hyp_len = len(hyp_tokens)
         match = [0] * self.max_n
-        total = [0] * self.max_n
+        total = [max(hyp_len - n, 0) for n in range(self.max_n)]
+        clip = self.clip
         for gram, count in _ngram_counts(hyp_tokens, self.max_n).items():
-            n = len(gram)
-            total[n - 1] += count
-            match[n - 1] += min(count, self.clip.get(gram, 0))
+            if gram in clip:
+                match[len(gram) - 1] += min(count, clip[gram])
         return BleuStats(tuple(match), tuple(total), hyp_len, self._effective_ref_len(hyp_len))
+
+
+def profile_for(
+    profiles: dict[int, ReferenceStats], refs: ReferenceSet, sent_id: int
+) -> ReferenceStats:
+    """The profile of ``sent_id`` in ``profiles``, built and stored on first use."""
+    profile = profiles.get(sent_id)
+    if profile is None:
+        profile = profiles[sent_id] = ReferenceStats(refs[sent_id])
+    return profile
 
 
 def ngram_stats(

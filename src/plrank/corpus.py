@@ -188,7 +188,10 @@ def write_nbest(corpus: Corpus) -> str:
 
 
 def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
-    """Parse reference lines (``sent_id ||| tokens``) into a ReferenceSet."""
+    """Parse reference lines (``sent_id ||| tokens``) into a ReferenceSet.
+
+    A line with no reference tokens is a ParseError.
+    """
     by_sent: dict[int, list[tuple[str, ...]]] = {}
     for line_no, raw in enumerate(_lines(stream), start=1):
         line = raw.rstrip("\n")
@@ -196,7 +199,10 @@ def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
         if len(fields) != 2:
             raise ParseError(line_no, f"expected 2 '|||'-separated fields, got {len(fields)}")
         sent_id = _parse_sent_id(fields[0], line_no)
-        by_sent.setdefault(sent_id, []).append(tuple(fields[1].split()))
+        tokens = tuple(fields[1].split())
+        if not tokens:
+            raise ParseError(line_no, f"empty reference for sentence {sent_id}")
+        by_sent.setdefault(sent_id, []).append(tokens)
     return ReferenceSet({sid: tuple(refs) for sid, refs in by_sent.items()})
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bleu import ReferenceStats, corpus_bleu
+from .bleu import ReferenceStats, corpus_bleu, profile_for
 from .corpus import (
     Corpus,
     DataError,
@@ -33,7 +33,9 @@ from .corpus import (
 from .rng import derive_seed, substream
 from .trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
 
-DecoderInterface = Callable[[Mapping[str, float], int], Corpus]
+# the forward reference keeps Corpus out of typing's parametrization cache,
+# which would otherwise pin every re-imported plrank.corpus module
+DecoderInterface = Callable[[Mapping[str, float], int], "Corpus"]
 
 
 @dataclass(slots=True)
@@ -187,10 +189,12 @@ def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
     return out
 
 
-def _top1_corpus_bleu(corpus: Corpus, w: np.ndarray, refs: ReferenceSet) -> float:
+def _top1_corpus_bleu(
+    corpus: Corpus, w: np.ndarray, refs: ReferenceSet, profiles: dict[int, ReferenceStats]
+) -> float:
     total = None
     for lst in rerank(corpus, w, top=1):
-        stats = ReferenceStats(refs[lst.sent_id]).stats_for(lst.hypotheses[0].tokens)
+        stats = profile_for(profiles, refs, lst.sent_id).stats_for(lst.hypotheses[0].tokens)
         total = stats if total is None else total + stats
     return 100.0 * corpus_bleu(total)
 
@@ -210,6 +214,9 @@ def run_tuning(
     named: dict[str, float] = dict(w0) if w0 else {}
     accumulated: Corpus | None = None
     records: list[RoundRecord] = []
+    # one reference profile per sentence for the whole run: the pool only
+    # grows, so each profile's memo scores every hypothesis once
+    profiles: dict[int, ReferenceStats] = {}
     for round_idx in range(1, cfg.max_rounds + 1):
         fresh = decoder(named, round_idx)
         if round_idx == 1:
@@ -229,13 +236,13 @@ def run_tuning(
             seed=derive_seed(cfg.train_cfg.seed, "round", round_idx),
         )
         w_start, _ = weights_vector(named, accumulated.feature_index)
-        report = train(accumulated, refs, round_cfg, w_start)
+        report = train(accumulated, refs, round_cfg, w_start, profiles)
         w = report.final_weights
         named = {name: float(w[idx]) for name, idx in accumulated.feature_index.items()}
         records.append(
             RoundRecord(
                 round_idx,
-                _top1_corpus_bleu(accumulated, w, refs),
+                _top1_corpus_bleu(accumulated, w, refs, profiles),
                 report.final_objective,
                 accumulated.total_hypotheses(),
                 rich.r,

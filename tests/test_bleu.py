@@ -6,9 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrank.bleu import (
     BleuStats,
+    ReferenceStats,
     bleu_ranking,
     corpus_bleu,
     ground_truth_permutation,
@@ -70,6 +73,69 @@ class TestNgramStats:
     def test_zero_is_additive_identity(self):
         a = stats("a b c", ["a b"])
         assert BleuStats.zero() + a == a
+
+
+def slow_ngram_counts(tokens, max_n):
+    counts = Counter()
+    for n in range(1, max_n + 1):
+        for i in range(len(tokens) - n + 1):
+            counts[tuple(tokens[i : i + n])] += 1
+    return counts
+
+
+def slow_stats(hyp_tokens, refs, max_n):
+    """Nested-loop reference: clip against the max count over references,
+    count hypothesis n-grams one by one."""
+    clip = Counter()
+    for ref in refs:
+        for gram, count in slow_ngram_counts(ref, max_n).items():
+            if count > clip[gram]:
+                clip[gram] = count
+    match = [0] * max_n
+    total = [0] * max_n
+    for gram, count in slow_ngram_counts(hyp_tokens, max_n).items():
+        n = len(gram)
+        total[n - 1] += count
+        match[n - 1] += min(count, clip.get(gram, 0))
+    hyp_len = len(hyp_tokens)
+    ref_len = min((len(r) for r in refs), key=lambda n: (abs(n - hyp_len), n))
+    return BleuStats(tuple(match), tuple(total), hyp_len, ref_len)
+
+
+def sentences(vocab, min_size=0):
+    return st.lists(st.sampled_from(vocab), min_size=min_size, max_size=12).map(tuple)
+
+
+@st.composite
+def scoring_cases(draw):
+    """(hypotheses, references, max_n) over a 3-6 word vocabulary, so
+    n-grams repeat and clip often; the empty hypothesis is always present."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(3, 6)))]
+    refs = draw(st.lists(sentences(vocab, min_size=1), min_size=1, max_size=3))
+    hyps = draw(st.lists(sentences(vocab), min_size=1, max_size=6))
+    return [(), *hyps], refs, draw(st.integers(1, 4))
+
+
+class TestReferenceStatsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(scoring_cases())
+    def test_stats_match_nested_loop_reference(self, case):
+        hyps, refs, max_n = case
+        profile = ReferenceStats(refs, max_n)
+        for hyp in hyps:
+            assert profile.stats_for(hyp) == slow_stats(hyp, refs, max_n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scoring_cases())
+    def test_memo_hit_equals_fresh_profile(self, case):
+        hyps, refs, max_n = case
+        shared = ReferenceStats(refs, max_n)
+        first = [shared.stats_for(h) for h in hyps]
+        # a second pass is served from the memo, also for list-typed tokens
+        again = [shared.stats_for(list(h)) for h in reversed(hyps)][::-1]
+        fresh = [ReferenceStats(refs, max_n).stats_for(h) for h in hyps]
+        assert first == again == fresh
+        assert all(a is b for a, b in zip(first, again))
 
 
 class TestSentenceBleu:

@@ -66,6 +66,21 @@ class TestTrain:
         assert code == 1
         assert "sentence 1" in stderr
 
+    def test_empty_reference_line_names_line(self, workdir, capsys):
+        (workdir / "refs.txt").write_text("0 ||| a b\n1 ||| \n")
+        out = workdir / "w.txt"
+        code, stdout, stderr = run(
+            capsys,
+            "train",
+            "--nbest", workdir / "nbest.txt",
+            "--refs", workdir / "refs.txt",
+            "--out", out,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 2: empty reference for sentence 1\n"
+        assert not out.exists()
+
     def test_bad_flag_value_is_usage_error(self, workdir, capsys):
         code, _, stderr = run(
             capsys,
@@ -239,6 +254,17 @@ class TestEvaluate:
         assert code == 1
         assert stderr.strip() == "error: line 2: sentence id -3 is negative"
 
+    def test_empty_reference_line_names_line(self, evaldir, capsys):
+        (evaldir / "refs.txt").write_text("0 ||| a b c d e\n1 |||\n")
+        hyp = evaldir / "hyp.txt"
+        hyp.write_text("0 ||| a b c d e\n")
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 2: empty reference for sentence 1\n"
+
 
 class TestRichness:
     def test_reports_and_recommends_resampling(self, workdir, capsys):
@@ -265,6 +291,16 @@ class TestRichness:
         assert "empty" in stderr
 
 
+# history.csv of `run_tune(..., extra=("--resample-m", 8), rounds=3)`,
+# recorded before reference profiles were shared across rounds
+GOLDEN_TUNE_HISTORY = (
+    b"round,dev_bleu,objective,corpus_size,richness\r\n"
+    b"1,100.0,-10.761828922466059,40,1.2\r\n"
+    b"2,93.60202265123498,-14.810083484535655,76,0.631578947368421\r\n"
+    b"3,77.60146914968043,-15.625731629252199,112,0.42857142857142855\r\n"
+)
+
+
 @pytest.fixture
 def simdir(tmp_path):
     (tmp_path / "spec.txt").write_text(
@@ -277,7 +313,7 @@ def simdir(tmp_path):
     return tmp_path
 
 
-def run_tune(capsys, simdir, tag, extra=()):
+def run_tune(capsys, simdir, tag, extra=(), rounds=2):
     out = simdir / f"weights-{tag}.txt"
     hist = simdir / f"history-{tag}.csv"
     code, stdout, stderr = run(
@@ -285,7 +321,7 @@ def run_tune(capsys, simdir, tag, extra=()):
         "tune-sim",
         "--spec", simdir / "spec.txt",
         "--refs", simdir / "refs.txt",
-        "--rounds", 2,
+        "--rounds", rounds,
         "--per-round", 10,
         "--k", 3,
         "--max-iter", 30,
@@ -315,6 +351,26 @@ class TestTuneSim:
         _, w3, h3, _, _ = run_tune(capsys, simdir, "c", extra=("--workers", 4))
         assert w1 == w2 == w3
         assert h1 == h2 == h3
+
+    def test_one_profile_per_sentence_and_history_unchanged(self, simdir, capsys, monkeypatch):
+        # every distinct hypothesis is BLEU-scored once per run: one reference
+        # profile per sentence serves all rounds, with unchanged results
+        from plrank.bleu import ReferenceStats
+
+        built = []
+        init = ReferenceStats.__init__
+
+        def spy(self, refs, *args, **kwargs):
+            built.append(tuple(refs))
+            init(self, refs, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceStats, "__init__", spy)
+        code, _, history, _, _ = run_tune(
+            capsys, simdir, "a", extra=("--resample-m", 8), rounds=3
+        )
+        assert code == 0
+        assert len(built) == len(set(built)) == 4
+        assert history == GOLDEN_TUNE_HISTORY
 
     def test_bad_spec_file_is_data_error(self, simdir, capsys):
         (simdir / "spec.txt").write_text("feature_dim=12\n")

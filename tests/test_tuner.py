@@ -1,5 +1,10 @@
 """Reranking, the synthetic decoder, and the outer tuning loop."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -243,3 +248,26 @@ class TestRunTuning:
         cfg = tune_cfg(max_rounds=2, per_round_size=30, resample_m=6)
         _, records = run_tuning(decoder, refs, cfg)
         assert records[0].richness < 5.0
+
+
+def test_reimport_frees_the_corpus_module():
+    # a module-level alias parametrized with a class would sit in typing's
+    # cache and keep every re-imported plrank.corpus alive
+    script = textwrap.dedent(
+        """
+        import gc, sys, weakref
+        import plrank.tuner
+        ref = weakref.ref(sys.modules["plrank.corpus"].Corpus)
+        for name in [m for m in sys.modules if m == "plrank" or m.startswith("plrank.")]:
+            del sys.modules[name]
+        import plrank.tuner
+        gc.collect()
+        assert ref() is None, "the first plrank.corpus.Corpus is still alive"
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
