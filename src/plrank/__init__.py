@@ -1,107 +1,32 @@
-"""Listwise tuning of sparse linear rerankers by permutation likelihood."""
+"""Listwise tuning of sparse linear rerankers by permutation likelihood.
 
-from .bleu import (
-    BleuStats,
-    Permutation,
-    bleu_ranking,
-    corpus_bleu,
-    ground_truth_permutation,
-    ngram_stats,
-    sentence_bleu,
-)
-from .corpus import (
-    Corpus,
-    DataError,
-    Hypothesis,
-    NBestList,
-    ParseError,
-    ReferenceSet,
-    dedup,
-    feature_matrix,
-    format_float,
-    format_weights,
-    merge,
-    parse_nbest,
-    parse_refs,
-    parse_weights,
-    weights_vector,
-    write_nbest,
-)
-from .likelihood import (
-    ListDistribution,
-    PLInstance,
-    gradient,
-    list_distribution,
-    objective,
-    objective_and_gradient,
-    permutation_log_prob,
-)
-from .trainer import (
-    RichnessReport,
-    TrainConfig,
-    TrainReport,
-    lbfgs_maximize,
-    resample,
-    richness,
-    train,
-)
-from .tuner import (
-    RoundRecord,
-    SyntheticDecoder,
-    SyntheticDecoderSpec,
-    TuneConfig,
-    rerank,
-    run_tuning,
-    synthetic_decode,
-    synthetic_references,
-)
+The names below are the library surface the README documents; everything
+else is importable from its submodule (``plrank.corpus``, ``plrank.bleu``,
+``plrank.likelihood``, ``plrank.trainer``, ``plrank.tuner``).
+"""
+
+from .corpus import DataError, ParseError, parse_nbest, parse_refs
+from .likelihood import list_distribution, objective_and_gradient, permutation_log_prob
+from .trainer import TrainConfig, TrainReport, lbfgs_maximize, resample, richness, train
+from .tuner import TuneConfig, rerank, run_tuning
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BleuStats",
-    "Corpus",
     "DataError",
-    "Hypothesis",
-    "ListDistribution",
-    "NBestList",
     "ParseError",
-    "Permutation",
-    "PLInstance",
-    "ReferenceSet",
-    "RichnessReport",
-    "RoundRecord",
-    "SyntheticDecoder",
-    "SyntheticDecoderSpec",
     "TrainConfig",
     "TrainReport",
     "TuneConfig",
-    "bleu_ranking",
-    "corpus_bleu",
-    "dedup",
-    "feature_matrix",
-    "format_float",
-    "format_weights",
-    "gradient",
-    "ground_truth_permutation",
     "lbfgs_maximize",
     "list_distribution",
-    "merge",
-    "ngram_stats",
-    "objective",
     "objective_and_gradient",
     "parse_nbest",
     "parse_refs",
-    "parse_weights",
     "permutation_log_prob",
     "rerank",
     "resample",
     "richness",
     "run_tuning",
-    "sentence_bleu",
-    "synthetic_decode",
-    "synthetic_references",
     "train",
-    "weights_vector",
-    "write_nbest",
 ]

@@ -58,6 +58,13 @@ def _train_history_rows(report: TrainReport) -> list[tuple]:
     return [(it, format_float(obj), format_float(gn)) for it, obj, gn in report.history]
 
 
+def _check_workers(workers: int) -> None:
+    # --workers has no effect (evaluation is one vectorized pass); it stays
+    # accepted, and validated, so existing command lines keep working
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     try:
         cfg = TrainConfig(
@@ -66,8 +73,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             l2_scale=args.l2,
             sample_size=args.sample_size,
             seed=args.seed,
-            workers=args.workers,
         )
+        _check_workers(args.workers)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -179,8 +186,8 @@ def cmd_tune_sim(args: argparse.Namespace) -> int:
             max_iters=args.max_iter,
             l2_scale=args.l2,
             seed=args.seed,
-            workers=args.workers,
         )
+        _check_workers(args.workers)
         cfg = TuneConfig(
             train_cfg=train_cfg,
             max_rounds=args.rounds,
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=500, help="optimizer iteration cap (default 500)")
     p.add_argument("--seed", type=int, default=42, help="root random seed (default 42)")
     p.add_argument("--sample-size", type=int, default=None, help="resample lists to this size")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect; must be >= 1")
     p.add_argument("--history", default=None, help="write per-iteration CSV here")
     p.set_defaults(func=cmd_train)
 
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--resample-m", type=int, default=30, help="list size after resampling (default 30)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect; must be >= 1")
     p.add_argument("--out", required=True, help="output weights file")
     p.add_argument("--history", default=None, help="write per-round CSV here")
     p.set_defaults(func=cmd_tune_sim)

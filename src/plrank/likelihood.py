@@ -44,6 +44,19 @@ class ListDistribution:
         return self.log_probs.size
 
 
+def _choice_order(perm, n: int, where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Validate a ranked prefix of a list of ``n`` and return it as int64
+    ranks plus every row index, the prefix first and the rest ascending.
+    ``where`` prefixes the error messages."""
+    ranks = np.asarray(perm, dtype=np.int64)
+    if not 1 <= ranks.size <= n:
+        raise ValueError(f"{where}permutation length {ranks.size} out of range for a list of {n}")
+    if ranks.min() < 0 or ranks.max() >= n or np.unique(ranks).size != ranks.size:
+        raise ValueError(f"{where}invalid permutation indices")
+    rest = np.setdiff1d(np.arange(n, dtype=np.int64), ranks)
+    return ranks, np.concatenate([ranks, rest])
+
+
 @dataclass(frozen=True)
 class PLInstance:
     """One training instance: dense-indexed features plus the ranked prefix.
@@ -59,16 +72,11 @@ class PLInstance:
 
     def __post_init__(self):
         n = self.features.shape[0]
-        ranks = np.asarray(self.ranks, dtype=np.int64)
         if n == 0:
             raise ValueError(f"sentence {self.sent_id}: empty hypothesis list")
-        if not 1 <= ranks.size <= n:
-            raise ValueError(f"sentence {self.sent_id}: permutation length {ranks.size} out of range")
-        if ranks.min() < 0 or ranks.max() >= n or np.unique(ranks).size != ranks.size:
-            raise ValueError(f"sentence {self.sent_id}: invalid permutation indices")
-        rest = np.setdiff1d(np.arange(n, dtype=np.int64), ranks)
+        ranks, order = _choice_order(self.ranks, n, f"sentence {self.sent_id}: ")
         object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "order", np.concatenate([ranks, rest]))
+        object.__setattr__(self, "order", order)
 
     @property
     def k(self) -> int:
@@ -111,16 +119,9 @@ def permutation_log_prob(dist: ListDistribution, perm) -> float:
     normalizer is the log-sum-exp of the log-probabilities still available
     at step j (step 1 needs none: the distribution already sums to 1).
     """
-    ranks = np.asarray(getattr(perm, "ranks", perm), dtype=np.int64)
     lp = dist.log_probs
-    n = lp.size
-    if not 1 <= ranks.size <= n:
-        raise ValueError(f"permutation length {ranks.size} out of range for a list of {n}")
-    if ranks.size and (ranks.min() < 0 or ranks.max() >= n or np.unique(ranks).size != ranks.size):
-        raise ValueError("invalid permutation indices")
-    rest = np.setdiff1d(np.arange(n, dtype=np.int64), ranks)
-    sorted_lp = lp[np.concatenate([ranks, rest])][None]
-    values, _ = _prefix_terms(sorted_lp, np.arange(n)[None] < ranks.size)
+    ranks, order = _choice_order(getattr(perm, "ranks", perm), lp.size)
+    values, _ = _prefix_terms(lp[order][None], np.arange(lp.size)[None] < ranks.size)
     return float(values[0])
 
 
@@ -160,12 +161,12 @@ class _Chunk:
 
 
 def make_evaluator(
-    instances: Sequence[PLInstance], l2_scale: float = 1.0, workers: int = 1
+    instances: Sequence[PLInstance], l2_scale: float = 1.0
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Build a reusable ``w -> (objective, gradient)`` over fixed chunks.
 
-    ``workers`` is accepted for compatibility and has no effect: evaluation
-    is one vectorized pass.
+    The objective is the sum of ranked-prefix log-likelihoods minus the
+    Gaussian penalty; the gradient is its analytic gradient in ``w``.
     """
     chunks = [_Chunk(instances[i : i + _CHUNK]) for i in range(0, len(instances), _CHUNK)]
 
@@ -185,20 +186,8 @@ def make_evaluator(
 
 
 def objective_and_gradient(
-    instances: Sequence[PLInstance], w: np.ndarray, l2_scale: float = 1.0, workers: int = 1
+    instances: Sequence[PLInstance], w: np.ndarray, l2_scale: float = 1.0
 ) -> tuple[float, np.ndarray]:
-    return make_evaluator(instances, l2_scale, workers)(w)
-
-
-def objective(
-    instances: Sequence[PLInstance], w: np.ndarray, l2_scale: float = 1.0, workers: int = 1
-) -> float:
-    """Sum of ranked-prefix log-likelihoods minus the Gaussian penalty."""
-    return objective_and_gradient(instances, w, l2_scale, workers)[0]
-
-
-def gradient(
-    instances: Sequence[PLInstance], w: np.ndarray, l2_scale: float = 1.0, workers: int = 1
-) -> np.ndarray:
-    """Analytic gradient of :func:`objective` with respect to ``w``."""
-    return objective_and_gradient(instances, w, l2_scale, workers)[1]
+    """One-shot :func:`make_evaluator` at ``w``; build the evaluator once
+    instead when evaluating the same instances repeatedly."""
+    return make_evaluator(instances, l2_scale)(w)

@@ -33,8 +33,6 @@ class TrainConfig:
 
     ``sample_size`` of None trains on full (deduplicated) lists; otherwise
     every longer list is resampled down to that many hypotheses first.
-    ``workers`` is accepted for compatibility and has no effect: likelihood
-    evaluation is one vectorized pass, bit-identical for any value.
     """
 
     k: int = 5
@@ -44,7 +42,6 @@ class TrainConfig:
     l2_scale: float = 1.0
     sample_size: int | None = None
     seed: int = 42
-    workers: int = 1
 
     def __post_init__(self):
         if self.k < 1:
@@ -59,8 +56,6 @@ class TrainConfig:
             raise ValueError(f"l2_scale must be >= 0, got {self.l2_scale}")
         if self.sample_size is not None and self.sample_size < 3:
             raise ValueError(f"sample_size must be >= 3, got {self.sample_size}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(slots=True)
@@ -332,8 +327,11 @@ def train(
 
     ``w0`` defaults to zeros; it is also the weight vector that steers any
     resampling (and so must be aligned to ``corpus.feature_index``).
-    ``profiles`` is passed to :func:`build_instances`.
+    ``profiles`` is passed to :func:`build_instances`.  Raises DataError
+    on a corpus with no lists.
     """
+    if not corpus.lists:
+        raise DataError("empty corpus")
     n_features = len(corpus.feature_index)
     if w0 is None:
         w0 = np.zeros(n_features)
@@ -342,7 +340,7 @@ def train(
         if w0.shape != (n_features,):
             raise ValueError(f"w0 has shape {w0.shape}, expected ({n_features},)")
     instances = build_instances(corpus, refs, cfg, w0, profiles)
-    evaluate = make_evaluator(instances, cfg.l2_scale, cfg.workers)
+    evaluate = make_evaluator(instances, cfg.l2_scale)
     # extreme feature values overflow the objective or the search direction;
     # the optimizer's finiteness check reports that instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -178,12 +178,15 @@ class SyntheticDecoder:
 
 def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
     """Stable-sort each list by ``h . w`` descending and keep the top few;
-    ties keep their input order."""
+    ties keep their input order.  Raises DataError naming the sentence if a
+    score overflows or is NaN."""
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
     out = []
     for lst in corpus.lists:
         scores = np.asarray(feature_matrix(lst.hypotheses, corpus.feature_index) @ w).ravel()
+        if not np.all(np.isfinite(scores)):
+            raise DataError(f"sentence {lst.sent_id}: model score is not finite")
         order = np.argsort(-scores, kind="stable")[:top]
         out.append(NBestList(lst.sent_id, tuple(lst.hypotheses[i] for i in order)))
     return out

@@ -13,28 +13,28 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import stats
 
-from plrank import (
+from plrank.cli import main
+from plrank.corpus import (
     Corpus,
     Hypothesis,
-    ListDistribution,
     NBestList,
-    PLInstance,
-    SyntheticDecoderSpec,
-    TrainConfig,
-    lbfgs_maximize,
-    objective_and_gradient,
     parse_nbest,
-    permutation_log_prob,
-    rerank,
-    resample,
-    richness,
-    synthetic_decode,
-    synthetic_references,
-    train,
     weights_vector,
     write_nbest,
 )
-from plrank.cli import main
+from plrank.likelihood import (
+    ListDistribution,
+    PLInstance,
+    objective_and_gradient,
+    permutation_log_prob,
+)
+from plrank.trainer import TrainConfig, lbfgs_maximize, resample, richness, train
+from plrank.tuner import (
+    SyntheticDecoderSpec,
+    rerank,
+    synthetic_decode,
+    synthetic_references,
+)
 
 
 def random_distribution(rng, size):

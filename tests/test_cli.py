@@ -1,9 +1,15 @@
 """Command-line behavior: happy paths, output formats, and exit codes."""
 
+import contextlib
+import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrank.cli import main
 from plrank.corpus import parse_nbest, parse_weights
@@ -135,6 +141,36 @@ class TestTrain:
         assert code == 1
         assert stderr.splitlines() == ["error: non-finite objective or gradient at iteration 1"]
 
+    def test_empty_nbest_is_data_error(self, workdir, capsys):
+        (workdir / "nbest.txt").write_text("")
+        out = workdir / "w.txt"
+        code, stdout, stderr = run(
+            capsys,
+            "train",
+            "--nbest", workdir / "nbest.txt",
+            "--refs", workdir / "refs.txt",
+            "--out", out,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: empty corpus\n"
+        assert not out.exists()
+
+    def test_zero_workers_is_usage_error(self, workdir, capsys):
+        out = workdir / "w.txt"
+        code, stdout, stderr = run(
+            capsys,
+            "train",
+            "--nbest", workdir / "nbest.txt",
+            "--refs", workdir / "refs.txt",
+            "--out", out,
+            "--workers", 0,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "usage error: workers must be >= 1, got 0\n"
+        assert not out.exists()
+
 
 class TestRerank:
     def test_scores_are_dot_products(self, workdir, capsys):
@@ -193,6 +229,21 @@ class TestRerank:
         first = parse_nbest(stdout).lists[0].hypotheses
         assert [h.tokens for h in first] == [("a", "b"), ("a", "c"), ("b", "c")]
         assert first[2].decoder_score == 0.0
+
+    def test_overflowing_score_gives_one_error_line(self, workdir, capsys):
+        (workdir / "nbest.txt").write_text(
+            "0 ||| a b ||| f=1e+300 g=1 ||| 0\n0 ||| a c ||| f=-1e+300 g=2 ||| 0\n"
+        )
+        weights = workdir / "weights.txt"
+        weights.write_text("f\t1e10\ng\t1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy RuntimeWarning fails the run
+            code, stdout, stderr = run(
+                capsys, "rerank", "--nbest", workdir / "nbest.txt", "--weights", weights, "--top", 2
+            )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: sentence 0: model score is not finite\n"
 
 
 class TestEvaluate:
@@ -395,3 +446,79 @@ class TestTuneSim:
         )
         assert code == 2
         assert "usage error" in stderr
+
+    def test_zero_workers_is_usage_error(self, simdir, capsys):
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a", extra=("--workers", 0))
+        assert code == 2
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == "usage error: workers must be >= 1, got 0\n"
+
+
+# small, mostly well-formed files with extreme numbers; at most one line in
+# each is replaced by a hostile one (bad id, missing field, non-finite or
+# non-numeric value, empty reference, stray text)
+FUZZ_NUMBER = st.sampled_from(["0", "1", "-2.5", "1e308", "-1e308", "1e-320"])
+FUZZ_ID = st.sampled_from(["0", "1", "2"])
+FUZZ_TOKENS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4).map(" ".join)
+FUZZ_HOSTILE = st.one_of(
+    st.sampled_from(["-1 ||| a ||| f=1 ||| 0", "0 ||| a ||| f=nan ||| 0", "0 ||| a ||| f=x ||| 0",
+                     "0 ||| a ||| f=1 f=2 ||| 0", "0 ||| a ||| =1 ||| 0", "0 ||| a ||| f=1",
+                     "0 ||| ", "1 ||| ", "f\tinf", "f\t", "\t1", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+FUZZ_NBEST_LINE = st.builds(
+    lambda sid, tokens, feats, score: f"{sid} ||| {tokens} ||| {feats} ||| {score}",
+    FUZZ_ID,
+    FUZZ_TOKENS,
+    st.dictionaries(st.sampled_from(["f", "g", "h"]), FUZZ_NUMBER, max_size=3).map(
+        lambda d: " ".join(f"{k}={v}" for k, v in d.items())
+    ),
+    FUZZ_NUMBER,
+)
+FUZZ_REFS_LINE = st.builds(
+    "{} ||| {}".format, FUZZ_ID, st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4).map(" ".join)
+)
+FUZZ_WEIGHTS_LINE = st.builds("{}\t{}".format, st.sampled_from(["f", "g", "h", "u"]), FUZZ_NUMBER)
+
+
+@st.composite
+def fuzz_file(draw, line, prefix=()):
+    lines = list(prefix) + draw(st.lists(line, min_size=1, max_size=8))
+    hostile = draw(st.one_of(st.none(), st.none(), st.none(), FUZZ_HOSTILE))
+    if hostile is not None:
+        lines.insert(draw(st.integers(0, len(lines))), hostile)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fuzz_file(FUZZ_NBEST_LINE),
+    fuzz_file(FUZZ_REFS_LINE, prefix=["0 ||| a b", "1 ||| b c", "2 ||| c a"]),
+    fuzz_file(FUZZ_WEIGHTS_LINE),
+    st.sampled_from(["1", "3"]),
+)
+def test_fuzzed_files_exit_cleanly(nbest, refs, weights, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "nbest.txt").write_text(nbest, encoding="utf-8")
+        (d / "refs.txt").write_text(refs, encoding="utf-8")
+        (d / "weights.txt").write_text(weights, encoding="utf-8")
+        commands = [
+            ["train", "--nbest", d / "nbest.txt", "--refs", d / "refs.txt", "--out", d / "out.txt",
+             "--k", count, "--max-iter", 20],
+            ["rerank", "--nbest", d / "nbest.txt", "--weights", d / "weights.txt", "--top", count],
+            ["evaluate", "--hyp", d / "nbest.txt", "--refs", d / "refs.txt"],
+            ["richness", "--nbest", d / "nbest.txt"],
+        ]
+        for argv in commands:
+            stderr = io.StringIO()
+            # a numpy RuntimeWarning escapes main as an exception and fails the test
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                try:
+                    code = main([str(a) for a in argv])
+                except SystemExit as err:
+                    code = err.code
+            assert code in (0, 1, 2), argv[0]
+            assert "Traceback" not in stderr.getvalue(), argv[0]

@@ -28,6 +28,11 @@ SAMPLE = (
 )
 
 
+# every character an N-best token or feature name can carry: no whitespace,
+# no line break and no "|"; a feature name also has no "="
+FORMAT_CHARS = st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"), blacklist_characters="|")
+
+
 def hyp(sent_id, tokens, features=None, score=0.0):
     return Hypothesis(sent_id, tuple(tokens.split()), dict(features or {}), score)
 
@@ -138,6 +143,39 @@ class TestRoundTrip:
         reparsed = parse_nbest(text)
         assert write_nbest(reparsed) == text
         assert reparsed.feature_index == corpus.feature_index
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.lists(st.text(FORMAT_CHARS, min_size=1, max_size=4), max_size=4),
+                    st.dictionaries(
+                        st.text(FORMAT_CHARS.filter(lambda c: c != "="), min_size=1, max_size=4),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=3,
+                    ),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_parse_write_parse_byte_identical_for_any_names(self, groups):
+        # one line per hypothesis, each sentence's lines together
+        text = "".join(
+            f"{sid} ||| {' '.join(tokens)} ||| "
+            + " ".join(f"{name}={value!r}" for name, value in feats.items())
+            + f" ||| {score!r}\n"
+            for sid, hyps in enumerate(groups)
+            for tokens, feats, score in hyps
+        )
+        corpus = parse_nbest(text)
+        assert write_nbest(corpus) == text
+        assert parse_nbest(write_nbest(corpus)) == corpus
 
 
 class TestDedup:

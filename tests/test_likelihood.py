@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from plrank.likelihood import (
     ListDistribution,
     PLInstance,
-    gradient,
     list_distribution,
     make_evaluator,
-    objective,
     objective_and_gradient,
     permutation_log_prob,
 )
@@ -146,8 +144,9 @@ class TestInstanceValidation:
 class TestObjectiveAndGradient:
     def test_penalty_only_for_no_instances(self):
         w = np.array([1.0, -2.0])
-        assert objective([], w, l2_scale=2.0) == pytest.approx(-float(w @ w), abs=1e-15)
-        np.testing.assert_allclose(gradient([], w, l2_scale=2.0), -2.0 * w, atol=1e-15)
+        value, grad = objective_and_gradient([], w, l2_scale=2.0)
+        assert value == pytest.approx(-float(w @ w), abs=1e-15)
+        np.testing.assert_allclose(grad, -2.0 * w, atol=1e-15)
 
     def test_matches_permutation_log_prob_sum(self):
         rng = np.random.default_rng(5)
@@ -157,21 +156,20 @@ class TestObjectiveAndGradient:
             permutation_log_prob(list_distribution(inst.features, w), inst.ranks)
             for inst in instances
         ) - 0.5 * float(w @ w)
-        assert objective(instances, w, l2_scale=1.0) == pytest.approx(expected, abs=1e-10)
+        assert objective_and_gradient(instances, w, l2_scale=1.0)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(6)
         n_features = 6
         instances = [random_instance(rng, n_features=n_features) for _ in range(6)]
         w = rng.standard_normal(n_features)
-        g = gradient(instances, w, l2_scale=0.7)
+        evaluate = make_evaluator(instances, l2_scale=0.7)
+        g = evaluate(w)[1]
         h = 1e-4
         for i in range(n_features):
             e = np.zeros(n_features)
             e[i] = h
-            fd = (
-                objective(instances, w + e, 0.7) - objective(instances, w - e, 0.7)
-            ) / (2 * h)
+            fd = (evaluate(w + e)[0] - evaluate(w - e)[0]) / (2 * h)
             rel = abs(g[i] - fd) / max(abs(fd), 1e-8)
             assert rel <= 1e-5, f"coordinate {i}: analytic {g[i]} vs numeric {fd}"
 
@@ -179,14 +177,15 @@ class TestObjectiveAndGradient:
         rng = np.random.default_rng(7)
         inst = PLInstance(0, sp.csr_matrix(rng.standard_normal((1, 4))), np.array([0]))
         w = rng.standard_normal(4)
-        np.testing.assert_allclose(gradient([inst], w, l2_scale=1.5), -1.5 * w, atol=1e-12)
-        assert objective([inst], w, l2_scale=0.0) == 0.0
+        _, grad = objective_and_gradient([inst], w, l2_scale=1.5)
+        np.testing.assert_allclose(grad, -1.5 * w, atol=1e-12)
+        assert objective_and_gradient([inst], w, l2_scale=0.0)[0] == 0.0
 
     def test_one_hot_softmax_gradient_at_zero(self):
         # n one-hot rows at w=0: residual is indicator minus uniform
         n = 5
         inst = PLInstance(0, sp.csr_matrix(np.eye(n)), np.array([2]))
-        g = gradient([inst], np.zeros(n), l2_scale=0.0)
+        g = objective_and_gradient([inst], np.zeros(n), l2_scale=0.0)[1]
         expected = -np.full(n, 1 / n)
         expected[2] += 1.0
         np.testing.assert_allclose(g, expected, atol=1e-12)
@@ -194,14 +193,13 @@ class TestObjectiveAndGradient:
     def test_concave_along_segments(self):
         rng = np.random.default_rng(8)
         instances = [random_instance(rng) for _ in range(5)]
+        evaluate = make_evaluator(instances, l2_scale=0.0)
         for _ in range(20):
             w1 = rng.standard_normal(6)
             w2 = rng.standard_normal(6)
             lam = rng.uniform()
-            mid = objective(instances, lam * w1 + (1 - lam) * w2, 0.0)
-            chord = lam * objective(instances, w1, 0.0) + (1 - lam) * objective(
-                instances, w2, 0.0
-            )
+            mid = evaluate(lam * w1 + (1 - lam) * w2)[0]
+            chord = lam * evaluate(w1)[0] + (1 - lam) * evaluate(w2)[0]
             assert mid >= chord - 1e-9
 
     def test_prefix_likelihood_matches_independent_softmax(self):
@@ -225,21 +223,12 @@ class TestObjectiveAndGradient:
         assert value == pytest.approx(expected_value, abs=1e-12)
         np.testing.assert_allclose(grad, expected_grad, atol=1e-12)
 
-    def test_worker_count_does_not_change_bits(self):
-        rng = np.random.default_rng(10)
-        instances = [random_instance(rng) for _ in range(150)]
-        w = rng.standard_normal(6)
-        v1, g1 = objective_and_gradient(instances, w, 1.0, workers=1)
-        v4, g4 = objective_and_gradient(instances, w, 1.0, workers=4)
-        assert v1 == v4
-        assert np.array_equal(g1, g4)
-
     def test_dense_and_sparse_features_agree(self):
         rng = np.random.default_rng(11)
         dense = rng.standard_normal((4, 3))
         ranks = np.array([1, 3])
         w = rng.standard_normal(3)
-        a = objective([PLInstance(0, sp.csr_matrix(dense), ranks)], w, 1.0)
+        a = objective_and_gradient([PLInstance(0, sp.csr_matrix(dense), ranks)], w, 1.0)[0]
         dist = list_distribution(dense, w)
         b = permutation_log_prob(dist, ranks) - 0.5 * float(w @ w)
         assert a == pytest.approx(b, abs=1e-12)
@@ -278,7 +267,7 @@ class TestChunkedKernelProperties:
             permutation_log_prob(list_distribution(inst.features, w), inst.ranks)
             for inst in instances
         ) - 0.5 * l2 * float(w @ w)
-        assert objective(instances, w, l2) == pytest.approx(expected, rel=1e-12)
+        assert objective_and_gradient(instances, w, l2)[0] == pytest.approx(expected, rel=1e-12)
 
     @PROPERTY_SETTINGS
     @given(ragged_instances())
@@ -313,3 +302,35 @@ class TestChunkedKernelProperties:
         value, grad = objective_and_gradient(singles, w, 0.5)
         assert value == -0.25 * float(w @ w)
         assert np.array_equal(grad, -0.5 * w)
+
+
+class TestLikelihoodProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=5))
+    def test_ranking_probabilities_sum_to_one_for_every_k(self, scores):
+        n = len(scores)
+        dist = list_distribution(np.eye(n), np.array(scores))
+        for k in range(1, n + 1):
+            total = math.fsum(
+                math.exp(permutation_log_prob(dist, perm))
+                for perm in itertools.permutations(range(n), k)
+            )
+            assert total == pytest.approx(1.0, abs=1e-12), f"k={k}"
+
+    @PROPERTY_SETTINGS
+    @given(
+        ragged_instances(),
+        st.floats(0.0, 2.0),
+        st.lists(st.floats(-3.0, 3.0), min_size=N_FEATURES, max_size=N_FEATURES),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_concave_along_random_lines(self, drawn, l2, direction, t0, t1):
+        instances, w = drawn
+        d = np.array(direction)
+        evaluate = make_evaluator(instances, l2)
+        f0 = evaluate(w + t0 * d)[0]
+        f1 = evaluate(w + t1 * d)[0]
+        mid = evaluate(w + 0.5 * (t0 + t1) * d)[0]
+        chord = 0.5 * (f0 + f1)
+        assert mid >= chord - 1e-10 * max(1.0, abs(f0), abs(f1))

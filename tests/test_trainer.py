@@ -109,7 +109,6 @@ class TestLbfgs:
             dict(grad_tol=0.0),
             dict(l2_scale=-1.0),
             dict(sample_size=2),
-            dict(workers=0),
         ]:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
