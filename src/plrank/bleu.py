@@ -124,15 +124,6 @@ def profile_for(
     return profile
 
 
-def ngram_stats(
-    hyp_tokens: Sequence[str],
-    refs: Sequence[Sequence[str]],
-    max_n: int = DEFAULT_MAX_N,
-) -> BleuStats:
-    """Clipped n-gram statistics of one hypothesis against its references."""
-    return ReferenceStats(refs, max_n).stats_for(hyp_tokens)
-
-
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
     if hyp_len > ref_len:
         return 1.0

@@ -23,6 +23,7 @@ from .corpus import (
     ParseError,
     ReferenceSet,
     _parse_sent_id,
+    feature_matrix,
     format_float,
     format_weights,
     parse_nbest,
@@ -58,11 +59,9 @@ def _train_history_rows(report: TrainReport) -> list[tuple]:
     return [(it, format_float(obj), format_float(gn)) for it, obj, gn in report.history]
 
 
-def _check_workers(workers: int) -> None:
-    # --workers has no effect (evaluation is one vectorized pass); it stays
-    # accepted, and validated, so existing command lines keep working
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _check_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -74,7 +73,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             sample_size=args.sample_size,
             seed=args.seed,
         )
-        _check_workers(args.workers)
+        # --workers has no effect (evaluation is one vectorized pass); it stays
+        # accepted, and validated, so existing command lines keep working
+        _check_at_least_one("workers", args.workers)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -98,8 +99,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     for name in unknown:
         print(f"warning: weight feature {name!r} not in corpus; ignored", file=sys.stderr)
     for lst in rerank(corpus, w, top=args.top):
-        for hyp in lst.hypotheses:
-            score = sum(w[corpus.feature_index[n]] * v for n, v in hyp.features.items())
+        scores = feature_matrix(lst.hypotheses, corpus.feature_index) @ w
+        for hyp, score in zip(lst.hypotheses, scores):
             feats = " ".join(f"{n}={format_float(v)}" for n, v in hyp.features.items())
             print(f"{hyp.sent_id} ||| {' '.join(hyp.tokens)} ||| {feats} ||| {format_float(score)}")
     return 0
@@ -152,9 +153,12 @@ def _load_decoder_spec(path: str, fallback_seed: int) -> SyntheticDecoderSpec:
         if not line or line.startswith("#"):
             continue
         name, eq, value = line.partition("=")
-        if not eq or not name.strip():
+        name = name.strip()
+        if not eq or not name:
             raise ParseError(line_no, f"expected <key>=<value>, got {line!r}")
-        keys[name.strip()] = value.strip()
+        if name in keys:
+            raise ParseError(line_no, f"duplicate key {name!r}")
+        keys[name] = value.strip()
     ints = {"num_sentences", "feature_dim", "seed", "ref_len", "features_per_hyp"}
     kwargs: dict = {"seed": fallback_seed}
     for name, value in keys.items():
@@ -187,19 +191,15 @@ def cmd_tune_sim(args: argparse.Namespace) -> int:
             l2_scale=args.l2,
             seed=args.seed,
         )
-        _check_workers(args.workers)
-        cfg = TuneConfig(
-            train_cfg=train_cfg,
-            max_rounds=args.rounds,
-            per_round_size=args.per_round,
-            resample_m=args.resample_m,
-        )
+        _check_at_least_one("workers", args.workers)
+        _check_at_least_one("per_round", args.per_round)
+        cfg = TuneConfig(train_cfg=train_cfg, max_rounds=args.rounds, resample_m=args.resample_m)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     spec = _load_decoder_spec(args.spec, fallback_seed=args.seed)
     refs = _read_refs(args.refs)
-    decoder = SyntheticDecoder(spec, refs, cfg.per_round_size)
+    decoder = SyntheticDecoder(spec, refs, args.per_round)
     named, records = run_tuning(decoder, refs, cfg)
     index = {name: i for i, name in enumerate(sorted(named))}
     values = [named[name] for name in sorted(named)]

@@ -9,10 +9,11 @@ L-BFGS using a strong-Wolfe line search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bleu import ReferenceStats, ground_truth_ranking, profile_for, sentence_bleu
 from .corpus import Corpus, DataError, NBestList, ReferenceSet, dedup, feature_matrix
@@ -21,6 +22,8 @@ from .rng import substream
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+# curvature pairs kept by the two-loop recursion
+LBFGS_MEMORY = 10
 RICHNESS_THRESHOLD = 5.0
 
 # purpose label for per-sentence resampling streams
@@ -37,7 +40,6 @@ class TrainConfig:
 
     k: int = 5
     max_iters: int = 500
-    lbfgs_memory: int = 10
     grad_tol: float = 1e-6
     l2_scale: float = 1.0
     sample_size: int | None = None
@@ -48,12 +50,10 @@ class TrainConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.lbfgs_memory < 1:
-            raise ValueError(f"lbfgs_memory must be >= 1, got {self.lbfgs_memory}")
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
-        if self.l2_scale < 0:
-            raise ValueError(f"l2_scale must be >= 0, got {self.l2_scale}")
+        if not 0 <= self.l2_scale < math.inf:
+            raise ValueError(f"l2_scale must be finite and >= 0, got {self.l2_scale}")
         if self.sample_size is not None and self.sample_size < 3:
             raise ValueError(f"sample_size must be >= 3, got {self.sample_size}")
 
@@ -213,7 +213,7 @@ def lbfgs_maximize(
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > cfg.lbfgs_memory:
+            if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
         w, f, g = w_new, f_new, g_new
         iteration += 1
@@ -224,9 +224,12 @@ def lbfgs_maximize(
 
 
 def _resample_indices(
-    bleus: np.ndarray, m: int, scores: np.ndarray, rng: np.random.Generator
+    bleus: np.ndarray, m: int, matrix: sp.csr_matrix, w: np.ndarray, rng_seed: int, sent_id: int
 ) -> np.ndarray:
-    """Indices (in original order) of the m hypotheses kept by resampling."""
+    """Indices (in original order) of the m hypotheses kept by resampling;
+    draws follow exp(matrix @ w) on the stream of (rng_seed, sent_id)."""
+    scores = np.asarray(matrix @ w).ravel()
+    rng = substream(rng_seed, RESAMPLE_PURPOSE, sent_id)
     n = len(bleus)
     if m < 3:
         raise ValueError(f"sample size must be >= 3, got {m}")
@@ -243,7 +246,6 @@ def _resample_indices(
     draws = m - 2 * take
     # sequential draws without replacement, proportional to exp(score)
     weight = np.exp(scores[pool] - scores[pool].max())
-    pool = list(pool)
     picked: list[int] = []
     for _ in range(draws):
         p = weight / weight.sum()
@@ -271,9 +273,9 @@ def resample(
     bleus = np.asarray(bleus, dtype=float)
     if len(bleus) != len(lst.hypotheses):
         raise ValueError("one BLEU score per hypothesis required")
-    scores = np.asarray(feature_matrix(lst.hypotheses, feature_index) @ w).ravel()
-    rng = substream(rng_seed, RESAMPLE_PURPOSE, lst.sent_id)
-    keep = _resample_indices(bleus, m, scores, rng)
+    keep = _resample_indices(
+        bleus, m, feature_matrix(lst.hypotheses, feature_index), w, rng_seed, lst.sent_id
+    )
     if len(keep) == len(lst.hypotheses):
         return lst
     return NBestList(lst.sent_id, tuple(lst.hypotheses[i] for i in keep))
@@ -305,9 +307,7 @@ def build_instances(
         bleus = np.array([sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses])
         matrix = feature_matrix(lst.hypotheses, corpus.feature_index)
         if cfg.sample_size is not None and cfg.sample_size < len(bleus):
-            scores = np.asarray(matrix @ w).ravel()
-            rng = substream(cfg.seed, RESAMPLE_PURPOSE, sid)
-            keep = _resample_indices(bleus, cfg.sample_size, scores, rng)
+            keep = _resample_indices(bleus, cfg.sample_size, matrix, w, cfg.seed, sid)
             bleus = bleus[keep]
             matrix = matrix[keep]
         k = min(cfg.k, len(bleus))

@@ -14,8 +14,9 @@ model, so BLEU correlates with the planted score by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -42,16 +43,11 @@ DecoderInterface = Callable[[Mapping[str, float], int], "Corpus"]
 class TuneConfig:
     train_cfg: TrainConfig
     max_rounds: int = 40
-    per_round_size: int = 200
-    richness_threshold: float = RICHNESS_THRESHOLD
     resample_m: int = 30
-    stop_when_saturated: bool = True
 
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.per_round_size < 1:
-            raise ValueError(f"per_round_size must be >= 1, got {self.per_round_size}")
         if self.resample_m < 3:
             raise ValueError(f"resample_m must be >= 3, got {self.resample_m}")
 
@@ -90,8 +86,8 @@ class SyntheticDecoderSpec:
             raise ValueError(f"num_sentences must be >= 1, got {self.num_sentences}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.ref_len < 1:
             raise ValueError(f"ref_len must be >= 1, got {self.ref_len}")
         if not 1 <= self.features_per_hyp <= self.feature_dim:
@@ -167,13 +163,13 @@ def synthetic_decode(
 class SyntheticDecoder:
     """DecoderInterface over :func:`synthetic_decode`."""
 
-    def __init__(self, spec: SyntheticDecoderSpec, refs: ReferenceSet, per_round_size: int):
+    def __init__(self, spec: SyntheticDecoderSpec, refs: ReferenceSet, size: int):
         self.spec = spec
         self.refs = refs
-        self.per_round_size = per_round_size
+        self.size = size
 
     def __call__(self, weights: Mapping[str, float], round_idx: int) -> Corpus:
-        return synthetic_decode(self.spec, self.refs, weights, round_idx, self.per_round_size)
+        return synthetic_decode(self.spec, self.refs, weights, round_idx, self.size)
 
 
 def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
@@ -211,8 +207,8 @@ def run_tuning(
     """Run up to max_rounds of decode / merge / (resample) / retrain.
 
     Returns the final weights by feature name and one record per completed
-    round.  Stops early (when enabled) as soon as a round contributes no
-    new hypothesis.  Raises DataError if round 1 produces an empty corpus.
+    round.  Stops early as soon as a round contributes no new hypothesis.
+    Raises DataError if round 1 produces an empty corpus.
     """
     named: dict[str, float] = dict(w0) if w0 else {}
     accumulated: Corpus | None = None
@@ -229,10 +225,10 @@ def run_tuning(
         else:
             before = accumulated.total_hypotheses()
             accumulated = merge(accumulated, fresh)
-            if cfg.stop_when_saturated and accumulated.total_hypotheses() == before:
+            if accumulated.total_hypotheses() == before:
                 break
         rich = richness(accumulated)
-        sample = cfg.resample_m if rich.r < cfg.richness_threshold else cfg.train_cfg.sample_size
+        sample = cfg.resample_m if rich.r < RICHNESS_THRESHOLD else cfg.train_cfg.sample_size
         round_cfg = replace(
             cfg.train_cfg,
             sample_size=sample,

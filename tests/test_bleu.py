@@ -15,14 +15,13 @@ from plrank.bleu import (
     bleu_ranking,
     corpus_bleu,
     ground_truth_permutation,
-    ngram_stats,
     sentence_bleu,
 )
 from plrank.corpus import Hypothesis, NBestList, ReferenceSet
 
 
 def stats(hyp, refs):
-    return ngram_stats(hyp.split(), [r.split() for r in refs])
+    return ReferenceStats([r.split() for r in refs]).stats_for(hyp.split())
 
 
 class TestNgramStats:
@@ -48,9 +47,9 @@ class TestNgramStats:
 
     def test_ref_len_closest_with_ties_to_shorter(self):
         refs = [["a"] * 2, ["a"] * 4]
-        assert ngram_stats(["a"] * 3, refs).ref_len == 2  # tie -> shorter
-        assert ngram_stats(["a"] * 4, refs).ref_len == 4
-        assert ngram_stats(["a"] * 1, refs).ref_len == 2
+        assert ReferenceStats(refs).stats_for(["a"] * 3).ref_len == 2  # tie -> shorter
+        assert ReferenceStats(refs).stats_for(["a"] * 4).ref_len == 4
+        assert ReferenceStats(refs).stats_for(["a"] * 1).ref_len == 2
 
     def test_empty_hypothesis(self):
         s = stats("", ["a b"])
@@ -59,7 +58,7 @@ class TestNgramStats:
 
     def test_empty_refs_rejected(self):
         with pytest.raises(ValueError):
-            ngram_stats(["a"], [])
+            ReferenceStats([]).stats_for(["a"])
 
     def test_additive(self):
         a = stats("a b c", ["a b"])

@@ -6,13 +6,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrank.cli import main
-from plrank.corpus import parse_nbest, parse_weights
+from plrank.corpus import format_float, parse_nbest, parse_weights, weights_vector
 
 NBEST = (
     "0 ||| a b ||| lm=1.0 tm=0.5 ||| 0.0\n"
@@ -169,6 +168,22 @@ class TestTrain:
         assert code == 2
         assert stdout == ""
         assert stderr == "usage error: workers must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("l2", ["nan", "inf"])
+    def test_non_finite_l2_is_usage_error(self, workdir, capsys, l2):
+        out = workdir / "w.txt"
+        code, stdout, stderr = run(
+            capsys,
+            "train",
+            "--nbest", workdir / "nbest.txt",
+            "--refs", workdir / "refs.txt",
+            "--out", out,
+            "--l2", l2,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"usage error: l2_scale must be finite and >= 0, got {l2}\n"
         assert not out.exists()
 
 
@@ -453,6 +468,28 @@ class TestTuneSim:
         assert stdout == "" and weights == b"" and history == b""
         assert stderr == "usage error: workers must be >= 1, got 0\n"
 
+    def test_zero_per_round_is_usage_error(self, simdir, capsys):
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a", extra=("--per-round", 0))
+        assert code == 2
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == "usage error: per_round must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_scale_is_data_error(self, simdir, capsys, noise):
+        (simdir / "spec.txt").write_text(f"num_sentences=4\nfeature_dim=12\nnoise_scale={noise}\n")
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
+        assert code == 1
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr.startswith("error: bad spec file: noise_scale must be finite and >= 0")
+        assert stderr.count("\n") == 1
+
+    def test_duplicate_spec_key_is_parse_error(self, simdir, capsys):
+        (simdir / "spec.txt").write_text("num_sentences=4\nfeature_dim=12\nseed=3\n\nseed=4\n")
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
+        assert code == 1
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == "error: line 5: duplicate key 'seed'\n"
+
 
 # small, mostly well-formed files with extreme numbers; at most one line in
 # each is replaced by a hostile one (bad id, missing field, non-finite or
@@ -522,3 +559,42 @@ def test_fuzzed_files_exit_cleanly(nbest, refs, weights, count):
                     code = err.code
             assert code in (0, 1, 2), argv[0]
             assert "Traceback" not in stderr.getvalue(), argv[0]
+
+
+RERANK_VALUE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+RERANK_FEATURES = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]), RERANK_VALUE, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(RERANK_FEATURES, min_size=1, max_size=6), min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e", "u"]), RERANK_VALUE, max_size=6),
+)
+def test_rerank_prints_the_python_sum_as_score(lists, named):
+    lines = ["0 ||| no features |||  ||| 0.0"]
+    for sid, hyps in enumerate(lists):
+        for j, feats in enumerate(hyps):
+            text = " ".join(f"{n}={format_float(v)}" for n, v in feats.items())
+            lines.append(f"{sid} ||| h{j} ||| {text} ||| 0.0")
+    nbest = "".join(line + "\n" for line in lines)
+    weights = "".join(f"{n}\t{format_float(v)}\n" for n, v in named.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "nbest.txt").write_text(nbest, encoding="utf-8")
+        (d / "weights.txt").write_text(weights, encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["rerank", "--nbest", str(d / "nbest.txt"), "--weights", str(d / "weights.txt"),
+                         "--top", "10"])
+    assert code == 0
+    corpus = parse_nbest(nbest)
+    w, _ = weights_vector(named, corpus.feature_index)
+    printed = stdout.getvalue().splitlines()
+    out = [h for lst in parse_nbest(stdout.getvalue()).lists for h in lst.hypotheses]
+    assert len(printed) == len(out) == len(lines)
+    for line, hyp in zip(printed, out):
+        # the reference: the per-hypothesis Python loop the CLI used to print
+        expected = sum(w[corpus.feature_index[n]] * v for n, v in hyp.features.items())
+        assert line.rsplit("|||", 1)[1].strip() == format_float(expected)
+        if not hyp.features:
+            assert line.endswith("||| 0.0")

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from plrank.bleu import ReferenceStats, sentence_bleu
 from plrank.corpus import (
     Corpus,
     DataError,
     Hypothesis,
     NBestList,
     ReferenceSet,
+    dedup,
+    feature_matrix,
     parse_nbest,
 )
 from plrank.trainer import (
     TrainConfig,
+    build_instances,
     lbfgs_maximize,
     resample,
     richness,
@@ -105,9 +109,10 @@ class TestLbfgs:
         for bad in [
             dict(k=0),
             dict(max_iters=0),
-            dict(lbfgs_memory=0),
             dict(grad_tol=0.0),
             dict(l2_scale=-1.0),
+            dict(l2_scale=float("nan")),
+            dict(l2_scale=float("inf")),
             dict(sample_size=2),
         ]:
             with pytest.raises(ValueError):
@@ -189,6 +194,26 @@ class TestResample:
         out, _ = self.call(31, 30, bleus=np.zeros(31))
         assert len(out.hypotheses) == 30
         assert len({h.tokens for h in out.hypotheses}) == 30
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_build_instances_keeps_what_resample_keeps(self, seed):
+        from plrank.tuner import SyntheticDecoderSpec, synthetic_decode, synthetic_references
+
+        spec = SyntheticDecoderSpec(num_sentences=4, feature_dim=30, seed=seed, ref_len=12)
+        refs = synthetic_references(spec)
+        corpus = synthetic_decode(spec, refs, {}, 1, 25)
+        w = np.random.default_rng(seed).standard_normal(len(corpus.feature_index))
+        cfg = TrainConfig(k=3, sample_size=9, seed=seed)
+        instances = build_instances(corpus, refs, cfg, w)
+        for lst, inst in zip(corpus.lists, instances):
+            lst = dedup(lst)
+            profile = ReferenceStats(refs[lst.sent_id])
+            bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
+            kept = resample(lst, bleus, 9, w, corpus.feature_index, seed)
+            assert len(kept.hypotheses) == 9 < len(lst.hypotheses)
+            expected = feature_matrix(kept.hypotheses, corpus.feature_index)
+            assert inst.features.shape == expected.shape
+            assert (inst.features != expected).nnz == 0
 
 
 class TestRichness:

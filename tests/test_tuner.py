@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from plrank.bleu import ReferenceStats, ground_truth_permutation, sentence_bleu
+from plrank.bleu import ReferenceStats, sentence_bleu
 from plrank.corpus import Corpus, DataError, parse_nbest, weights_vector
-from plrank.trainer import TrainConfig
+from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig
 from plrank.tuner import (
     SyntheticDecoder,
     SyntheticDecoderSpec,
@@ -158,7 +158,7 @@ class TestSyntheticDecode:
 
 def tune_cfg(**kw):
     train_cfg = kw.pop("train_cfg", TrainConfig(k=3, max_iters=40, seed=5))
-    defaults = dict(train_cfg=train_cfg, max_rounds=3, per_round_size=12, resample_m=8)
+    defaults = dict(train_cfg=train_cfg, max_rounds=3, resample_m=8)
     defaults.update(kw)
     return TuneConfig(**defaults)
 
@@ -198,16 +198,6 @@ class TestRunTuning:
         _, records = run_tuning(fixed_pool, refs, tune_cfg(max_rounds=10))
         assert len(records) == 1  # round 2 adds nothing new
 
-    def test_saturation_stop_can_be_disabled(self):
-        spec = small_spec()
-        refs = synthetic_references(spec)
-
-        def fixed_pool(weights, round_idx):
-            return synthetic_decode(spec, refs, weights, 1, 10)
-
-        _, records = run_tuning(fixed_pool, refs, tune_cfg(max_rounds=4, stop_when_saturated=False))
-        assert len(records) == 4
-
     def test_empty_first_round_rejected(self):
         refs = synthetic_references(small_spec())
 
@@ -230,7 +220,7 @@ class TestRunTuning:
         from plrank.trainer import richness, train
 
         corpus = decoder({}, 1)
-        sample = cfg.resample_m if richness(corpus).r < cfg.richness_threshold else None
+        sample = cfg.resample_m if richness(corpus).r < RICHNESS_THRESHOLD else None
         round_cfg = replace(
             cfg.train_cfg,
             sample_size=sample,
@@ -245,7 +235,7 @@ class TestRunTuning:
         spec = small_spec(feature_dim=8, ref_len=40)
         refs = synthetic_references(spec)
         decoder = SyntheticDecoder(spec, refs, 30)
-        cfg = tune_cfg(max_rounds=2, per_round_size=30, resample_m=6)
+        cfg = tune_cfg(max_rounds=2, resample_m=6)
         _, records = run_tuning(decoder, refs, cfg)
         assert records[0].richness < 5.0
 
