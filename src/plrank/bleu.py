@@ -3,24 +3,24 @@
 Sentence scores use add-one smoothing at every n-gram order so that single
 sentences always get a usable, strictly positive score (unless empty);
 corpus scores are conventional unsmoothed BLEU over pooled statistics.
+The clipped n-gram counts of a list's hypotheses are computed in one numpy
+pass against integer n-gram tables built once per reference profile.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import NBestList, ReferenceSet
+from .corpus import ReferenceSet
 from .rng import substream
 
 DEFAULT_MAX_N = 4
 
-# purpose label for the tie-breaking streams; shared with the trainer so a
-# ground truth built there matches ground_truth_permutation on the same seed
+# purpose label for ground_truth_ranking's per-sentence tie-breaking streams
 TIE_BREAK_PURPOSE = "bleu-ties"
 
 
@@ -57,28 +57,61 @@ class BleuStats:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    """A ranked prefix of a hypothesis list: ranks[j] is the index of the
-    hypothesis in position j+1."""
+def _token_ids(seqs: Sequence[Sequence[str]], vocab: dict[str, int]):
+    """The vocabulary ids of ``seqs`` end to end, each sequence followed by
+    a -1 separator, and the index of the sequence at each position.  A
+    token not in ``vocab`` also gets -1, so no n-gram through it matches."""
+    get = vocab.get
+    tokens = np.array([get(t, -1) for seq in seqs for t in (*seq, None)], dtype=np.int64)
+    owner = np.repeat(np.arange(len(seqs), dtype=np.int64), [len(seq) + 1 for seq in seqs])
+    return tokens, owner
 
-    sent_id: int
-    ranks: tuple[int, ...]
+
+def _gram_keys(ids: np.ndarray, tokens: np.ndarray, n: int, vocab_size: int) -> np.ndarray:
+    """Key of the (n+1)-gram starting at each position, from the ids of
+    the n-grams there: ``prev_id * vocab_size + token_id``, or -1 where
+    either part is -1.  Both parts are below the reference token count, so
+    keys stay below its square."""
+    prev, last = ids[:-1], tokens[n:]
+    return np.where((prev >= 0) & (last >= 0), prev * vocab_size + last, -1)
 
 
-def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
-    counts: Counter = Counter()
-    for n in range(1, max_n + 1):
-        counts.update(zip(*[tokens[i:] for i in range(n)]))
-    return counts
+def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the sorted, non-empty ``table``; -1 for a key not in it."""
+    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return np.where(table[at] == keys, at, -1)
+
+
+def _reference_tables(refs: Sequence[Sequence[str]], max_n: int):
+    """The token vocabulary of ``refs`` and, per n-gram order present in
+    them, the sorted n-gram keys and the largest count of each n-gram in
+    any one reference (its clip count)."""
+    vocab = {tok: i for i, tok in enumerate(dict.fromkeys(t for ref in refs for t in ref))}
+    tokens, owner = _token_ids(refs, vocab)
+    orders = []
+    keys, table = tokens, np.arange(len(vocab))
+    for n in range(max_n):
+        if n:
+            keys = _gram_keys(ids, tokens, n, len(vocab))
+            table = np.unique(keys[keys >= 0])
+        if not table.size:
+            break
+        ids = _lookup(table, keys)
+        valid = ids >= 0
+        pairs = owner[: ids.size][valid] * table.size + ids[valid]
+        counts = np.bincount(pairs, minlength=len(refs) * table.size).reshape(len(refs), -1)
+        orders.append((table, counts.max(axis=0)))
+    return vocab, orders
 
 
 class ReferenceStats:
     """Per-sentence reference profile, reusable across many hypotheses.
 
-    ``stats_for`` remembers the statistics of every hypothesis it has
-    scored, so a profile kept for a whole run scores each distinct token
-    sequence once.
+    The profile remembers the statistics and the sentence BLEU of every
+    hypothesis it has scored, so a profile kept for a whole run scores
+    each distinct token sequence once.  :meth:`sentence_bleus` scores a
+    list's new hypotheses in one pass; ``stats_for`` scores a new one as a
+    list of one.
     """
 
     def __init__(self, refs: Sequence[Sequence[str]], max_n: int = DEFAULT_MAX_N):
@@ -86,32 +119,48 @@ class ReferenceStats:
             raise ValueError("at least one reference is required")
         self.max_n = max_n
         self.lengths = [len(r) for r in refs]
-        self.clip: Counter = Counter()
-        for ref in refs:
-            for gram, count in _ngram_counts(ref, max_n).items():
-                if count > self.clip[gram]:
-                    self.clip[gram] = count
+        self._vocab, self._orders = _reference_tables(refs, max_n)
         self._memo: dict[tuple[str, ...], BleuStats] = {}
-
-    def _effective_ref_len(self, hyp_len: int) -> int:
-        return min(self.lengths, key=lambda n: (abs(n - hyp_len), n))
+        self._bleu: dict[BleuStats, float] = {}
 
     def stats_for(self, hyp_tokens: Sequence[str]) -> BleuStats:
         key = tuple(hyp_tokens)
         stats = self._memo.get(key)
         if stats is None:
-            stats = self._memo[key] = self._compute(key)
+            self._score([key])
+            stats = self._memo[key]
         return stats
 
-    def _compute(self, hyp_tokens: tuple[str, ...]) -> BleuStats:
-        hyp_len = len(hyp_tokens)
-        match = [0] * self.max_n
-        total = [max(hyp_len - n, 0) for n in range(self.max_n)]
-        clip = self.clip
-        for gram, count in _ngram_counts(hyp_tokens, self.max_n).items():
-            if gram in clip:
-                match[len(gram) - 1] += min(count, clip[gram])
-        return BleuStats(tuple(match), tuple(total), hyp_len, self._effective_ref_len(hyp_len))
+    def sentence_bleus(self, hyps: Sequence[Sequence[str]]) -> list[float]:
+        """Sentence BLEU of each hypothesis, through ``stats_for``; the
+        ones not scored before are scored first, in one pass."""
+        keys = [tuple(h) for h in hyps]
+        self._score([k for k in keys if k not in self._memo])
+        return [self._bleu[self.stats_for(k)] for k in keys]
+
+    def _score(self, hyps: list[tuple[str, ...]]) -> None:
+        """Memoize the statistics and sentence BLEU of new hypotheses."""
+        if not hyps:
+            return
+        tokens, owner = _token_ids(hyps, self._vocab)
+        match = np.zeros((len(hyps), self.max_n), dtype=np.int64)
+        ids = tokens
+        for n, (table, clip) in enumerate(self._orders):
+            if n:
+                ids = _lookup(table, _gram_keys(ids, tokens, n, len(self._vocab)))
+            valid = ids >= 0
+            pairs = owner[: ids.size][valid] * table.size + ids[valid]
+            pairs, count = np.unique(pairs, return_counts=True)
+            hyp, gram = np.divmod(pairs, table.size)
+            match[:, n] = np.bincount(hyp, np.minimum(count, clip[gram]), len(hyps))
+        lengths = [len(key) for key in hyps]
+        # the reference length closest to the hypothesis's, ties to the shorter
+        ref_len = {n: min(self.lengths, key=lambda r: (abs(r - n), r)) for n in set(lengths)}
+        total = np.maximum(np.array(lengths)[:, None] - np.arange(self.max_n), 0)
+        for key, m, t, n in zip(hyps, match.tolist(), total.tolist(), lengths):
+            stats = self._memo[key] = BleuStats(tuple(m), tuple(t), n, ref_len[n])
+            if stats not in self._bleu:
+                self._bleu[stats] = sentence_bleu(stats)
 
 
 def profile_for(
@@ -152,36 +201,18 @@ def corpus_bleu(stats: BleuStats) -> float:
     return _brevity_penalty(stats.hyp_len, stats.ref_len) * math.exp(log_prec)
 
 
-def bleu_ranking(bleus: Sequence[float], k: int, rng: np.random.Generator) -> list[int]:
-    """Indices of the k best scores, descending; exact ties in uniformly
-    random order drawn from ``rng``."""
-    n = len(bleus)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for a list of {n}")
-    keys = rng.random(n)
-    order = sorted(range(n), key=lambda i: (-bleus[i], keys[i]))
-    return order[:k]
-
-
 def ground_truth_ranking(
     bleus: Sequence[float], k: int, rng_seed: int, sent_id: int
 ) -> list[int]:
-    """bleu_ranking driven by the per-sentence tie-breaking stream."""
-    return bleu_ranking(bleus, k, substream(rng_seed, TIE_BREAK_PURPOSE, sent_id))
+    """Indices of the k best sentence BLEU scores, descending; exact ties in
+    uniformly random order.
 
-
-def ground_truth_permutation(
-    lst: NBestList,
-    refs: ReferenceSet,
-    k: int,
-    rng_seed: int,
-    max_n: int = DEFAULT_MAX_N,
-) -> Permutation:
-    """Top-k hypotheses by sentence BLEU, exact ties broken uniformly at random.
-
-    Reproducible: the tie-breaking stream depends only on (rng_seed, sent_id),
-    not on call order.
+    Reproducible: the tie-breaking stream depends only on (rng_seed,
+    sent_id), not on call order.
     """
-    profile = ReferenceStats(refs[lst.sent_id], max_n)
-    bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
-    return Permutation(lst.sent_id, tuple(ground_truth_ranking(bleus, k, rng_seed, lst.sent_id)))
+    n = len(bleus)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for a list of {n}")
+    keys = substream(rng_seed, TIE_BREAK_PURPOSE, sent_id).random(n)
+    order = sorted(range(n), key=lambda i: (-bleus[i], keys[i]))
+    return order[:k]

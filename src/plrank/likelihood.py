@@ -115,12 +115,12 @@ def permutation_log_prob(dist: ListDistribution, perm) -> float:
     """Log-probability of drawing ``perm`` by sequential choice without
     replacement from ``dist``.
 
-    ``perm`` may be a Permutation or a plain index sequence.  The step-j
+    ``perm`` is a sequence of hypothesis indices.  The step-j
     normalizer is the log-sum-exp of the log-probabilities still available
     at step j (step 1 needs none: the distribution already sums to 1).
     """
     lp = dist.log_probs
-    ranks, order = _choice_order(getattr(perm, "ranks", perm), lp.size)
+    ranks, order = _choice_order(perm, lp.size)
     values, _ = _prefix_terms(lp[order][None], np.arange(lp.size)[None] < ranks.size)
     return float(values[0])
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .bleu import ReferenceStats, ground_truth_ranking, profile_for, sentence_bleu
+from .bleu import ReferenceStats, ground_truth_ranking, profile_for
 from .corpus import Corpus, DataError, NBestList, ReferenceSet, dedup, feature_matrix
 from .likelihood import PLInstance, make_evaluator
 from .rng import substream
@@ -304,7 +304,7 @@ def build_instances(
             raise DataError(f"no reference for sentence {sid}")
         lst = dedup(lst)
         profile = profile_for(profiles, refs, sid)
-        bleus = np.array([sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses])
+        bleus = np.array(profile.sentence_bleus([h.tokens for h in lst.hypotheses]))
         matrix = feature_matrix(lst.hypotheses, corpus.feature_index)
         if cfg.sample_size is not None and cfg.sample_size < len(bleus):
             keep = _resample_indices(bleus, cfg.sample_size, matrix, w, cfg.seed, sid)

@@ -142,7 +142,10 @@ def synthetic_decode(
             values = rng.standard_normal(spec.features_per_hyp)
             planted[j] = spec.latent_weights[active] @ values
             features.append({f"f{i}": float(v) for i, v in zip(active, values)})
-        quality = planted + spec.noise_scale * rng.standard_normal(size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quality = planted + spec.noise_scale * rng.standard_normal(size)
+        if not np.all(np.isfinite(quality)):
+            raise DataError(f"sentence {sid}: noise_scale {spec.noise_scale:g} overflows the quality")
         rank_of = np.empty(size, dtype=np.int64)
         rank_of[np.argsort(-quality, kind="stable")] = np.arange(size)
         hyps = []

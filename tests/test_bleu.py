@@ -3,7 +3,6 @@
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
@@ -12,12 +11,10 @@ from hypothesis import strategies as st
 from plrank.bleu import (
     BleuStats,
     ReferenceStats,
-    bleu_ranking,
     corpus_bleu,
-    ground_truth_permutation,
+    ground_truth_ranking,
     sentence_bleu,
 )
-from plrank.corpus import Hypothesis, NBestList, ReferenceSet
 
 
 def stats(hyp, refs):
@@ -115,7 +112,42 @@ def scoring_cases(draw):
     return [(), *hyps], refs, draw(st.integers(1, 4))
 
 
+@st.composite
+def scoring_lists(draw):
+    """(hypotheses scored first, one at a time; a list; references; max_n).
+    The list holds the empty hypothesis, one whose every token is out of
+    the references' vocabulary, and one hypothesis twice; the first draw
+    turns part of it into memo hits."""
+    hyps, refs, max_n = draw(scoring_cases())
+    out_of_vocab = draw(sentences(["u0", "u1"], min_size=1))
+    lst = draw(st.permutations([*hyps, out_of_vocab, hyps[-1]]))
+    return draw(st.lists(st.sampled_from(lst), max_size=3)), lst, refs, max_n
+
+
 class TestReferenceStatsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(scoring_lists())
+    def test_list_scores_match_nested_loop_reference(self, case):
+        seen, lst, refs, max_n = case
+        profile = ReferenceStats(refs, max_n)
+        for hyp in seen:
+            profile.stats_for(hyp)
+        bleus = profile.sentence_bleus(lst)
+        expected = [slow_stats(hyp, refs, max_n) for hyp in lst]
+        got = [profile.stats_for(hyp) for hyp in lst]
+        assert got == expected
+        assert all(type(x) is int for s in got for x in (*s.match, *s.total))
+        assert bleus == [sentence_bleu(s) for s in expected]
+
+    def test_reference_vocabulary_above_two_to_the_sixteen(self):
+        # 70,000 distinct tokens: 4-gram keys built as vocab**4 would pass 2**63
+        ref = [f"t{i}" for i in range(70_000)]
+        hyp = ref[-5:] + ref[:3] + ["oov"] + ref[100:104]
+        s = ReferenceStats([ref]).stats_for(hyp)
+        assert s.match == (12, 9, 6, 3)
+        assert s.total == (13, 12, 11, 10)
+        assert s == slow_stats(hyp, [ref], 4)
+
     @settings(max_examples=60, deadline=None)
     @given(scoring_cases())
     def test_stats_match_nested_loop_reference(self, case):
@@ -205,66 +237,53 @@ class TestCorpusBleu:
 
 class TestRanking:
     def test_orders_by_bleu_descending(self):
-        rng = np.random.default_rng(0)
-        assert bleu_ranking([0.3, 0.9, 0.5], 3, rng) == [1, 2, 0]
+        assert ground_truth_ranking([0.3, 0.9, 0.5], 3, 0, 0) == [1, 2, 0]
 
     def test_truncates_to_k(self):
-        rng = np.random.default_rng(0)
-        assert bleu_ranking([0.3, 0.9, 0.5], 1, rng) == [1]
+        assert ground_truth_ranking([0.3, 0.9, 0.5], 1, 0, 0) == [1]
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError):
-            bleu_ranking([0.3, 0.9, 0.5], k, np.random.default_rng(0))
+            ground_truth_ranking([0.3, 0.9, 0.5], k, 0, 0)
 
     def test_tie_groups_shuffled_uniformly(self):
         # three exactly tied scores: all 6 orders should be equally frequent
         counts = Counter()
         seeds = 6000
         for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            counts[tuple(bleu_ranking([0.5, 0.5, 0.5], 3, rng))] += 1
+            counts[tuple(ground_truth_ranking([0.5, 0.5, 0.5], 3, seed, 0))] += 1
         assert len(counts) == 6
         _, p = scipy.stats.chisquare(list(counts.values()))
         assert p > 0.01, f"tied orders not uniform: p={p}"
 
     def test_ties_do_not_cross_bleu_levels(self):
         for seed in range(50):
-            rng = np.random.default_rng(seed)
-            order = bleu_ranking([0.2, 0.8, 0.2, 0.8], 4, rng)
+            order = ground_truth_ranking([0.2, 0.8, 0.2, 0.8], 4, seed, 0)
             assert sorted(order[:2]) == [1, 3]
             assert sorted(order[2:]) == [0, 2]
 
 
 class TestGroundTruthPermutation:
-    def refs(self):
-        return ReferenceSet({7: (("a", "b", "c", "d"),)})
+    """Sentence BLEU of a list, ranked by ground_truth_ranking."""
 
-    def lst(self):
-        hyps = tuple(
-            Hypothesis(7, tuple(t.split()), {}, 0.0)
-            for t in ["a x y d", "a b c d", "a b c z"]
-        )
-        return NBestList(7, hyps)
+    def ranks(self, k, rng_seed):
+        profile = ReferenceStats([("a", "b", "c", "d")])
+        bleus = profile.sentence_bleus([t.split() for t in ["a x y d", "a b c d", "a b c z"]])
+        return tuple(ground_truth_ranking(bleus, k, rng_seed, 7))
 
     def test_orders_by_sentence_bleu(self):
-        perm = ground_truth_permutation(self.lst(), self.refs(), 3, rng_seed=1)
-        assert perm.sent_id == 7
-        assert perm.ranks == (1, 2, 0)
+        assert self.ranks(3, rng_seed=1) == (1, 2, 0)
 
     def test_k_prefix(self):
-        perm = ground_truth_permutation(self.lst(), self.refs(), 2, rng_seed=1)
-        assert perm.ranks == (1, 2)
+        assert self.ranks(2, rng_seed=1) == (1, 2)
 
     def test_deterministic_in_seed(self):
-        a = ground_truth_permutation(self.lst(), self.refs(), 3, rng_seed=5)
-        b = ground_truth_permutation(self.lst(), self.refs(), 3, rng_seed=5)
-        assert a == b
+        assert self.ranks(3, rng_seed=5) == self.ranks(3, rng_seed=5)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            ground_truth_permutation(self.lst(), self.refs(), 4, rng_seed=1)
+            self.ranks(4, rng_seed=1)
 
     def test_full_k_is_a_permutation(self):
-        perm = ground_truth_permutation(self.lst(), self.refs(), 3, rng_seed=9)
-        assert sorted(perm.ranks) == [0, 1, 2]
+        assert sorted(self.ranks(3, rng_seed=9)) == [0, 1, 2]

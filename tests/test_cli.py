@@ -483,6 +483,15 @@ class TestTuneSim:
         assert stderr.startswith("error: bad spec file: noise_scale must be finite and >= 0")
         assert stderr.count("\n") == 1
 
+    def test_overflowing_noise_scale_gives_one_error_line(self, simdir, capsys):
+        (simdir / "spec.txt").write_text("num_sentences=4\nfeature_dim=12\nnoise_scale=1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy RuntimeWarning fails the run
+            code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
+        assert code == 1
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == "error: sentence 0: noise_scale 1e+308 overflows the quality\n"
+
     def test_duplicate_spec_key_is_parse_error(self, simdir, capsys):
         (simdir / "spec.txt").write_text("num_sentences=4\nfeature_dim=12\nseed=3\n\nseed=4\n")
         code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
@@ -559,6 +568,58 @@ def test_fuzzed_files_exit_cleanly(nbest, refs, weights, count):
                     code = err.code
             assert code in (0, 1, 2), argv[0]
             assert "Traceback" not in stderr.getvalue(), argv[0]
+
+
+# spec files with extreme values for every key, valid ones drawn more often;
+# at most one line is hostile
+FUZZ_BIG = "100000000000000000000"
+FUZZ_SPEC_KEYS = {
+    "num_sentences": st.sampled_from(["3", "3", "3", "1", "0", "4", FUZZ_BIG]),
+    "feature_dim": st.sampled_from(["12", "12", "12", "8", "1", "0", "-1", FUZZ_BIG]),
+}
+FUZZ_SPEC_OPTIONAL = {
+    "noise_scale": st.sampled_from(["0.1", "0.1", "0", "1e-320", "1e300", "1e308", "-1e308", "nan", "inf"]),
+    "ref_len": st.sampled_from(["20", "20", "1", "0", "-5", FUZZ_BIG]),
+    "features_per_hyp": st.sampled_from(["8", "8", "1", "2", "0"]),
+    "seed": st.sampled_from(["0", "-1", "18446744073709551617"]),
+}
+FUZZ_SPEC_HOSTILE = st.one_of(
+    st.sampled_from(["noise_scale", "=1", "feature_dim=", "feature_dim=1=2", "num_sentences=1.5",
+                     "noise_scale=0x10", "seed=1e3", "wat=1", "# noise_scale=1e308", "  "]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@st.composite
+def fuzz_spec(draw):
+    keys = draw(st.fixed_dictionaries(FUZZ_SPEC_KEYS, optional=FUZZ_SPEC_OPTIONAL))
+    lines = [f"{name}={value}" for name, value in keys.items()]
+    hostile = draw(st.one_of(st.none(), st.none(), st.none(), FUZZ_SPEC_HOSTILE))
+    if hostile is not None:
+        lines.insert(draw(st.integers(0, len(lines))), hostile)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_spec())
+def test_fuzzed_tune_sim_spec_exits_cleanly(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "spec.txt").write_text(spec, encoding="utf-8")
+        (d / "refs.txt").write_text("0 ||| a b c\n1 ||| b c a\n2 ||| c a b\n", encoding="utf-8")
+        argv = ["tune-sim", "--spec", d / "spec.txt", "--refs", d / "refs.txt", "--rounds", 2,
+                "--per-round", 3, "--k", 2, "--max-iter", 10, "--out", d / "w.txt"]
+        stderr = io.StringIO()
+        # a numpy RuntimeWarning escapes main as an exception and fails the test
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as err:
+                code = err.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
 
 
 RERANK_VALUE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
