@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ReferenceSet
 from .rng import substream
 
 DEFAULT_MAX_N = 4
@@ -108,8 +107,9 @@ class ReferenceStats:
     """Per-sentence reference profile, reusable across many hypotheses.
 
     The profile remembers the statistics and the sentence BLEU of every
-    hypothesis it has scored, so a profile kept for a whole run scores
-    each distinct token sequence once.  :meth:`sentence_bleus` scores a
+    hypothesis it has scored; ``ReferenceSet.profile`` keeps one per
+    sentence as long as the set, so each distinct token sequence is
+    scored once.  :meth:`sentence_bleus` scores a
     list's new hypotheses in one pass; ``stats_for`` scores a new one as a
     list of one.
     """
@@ -161,16 +161,6 @@ class ReferenceStats:
             stats = self._memo[key] = BleuStats(tuple(m), tuple(t), n, ref_len[n])
             if stats not in self._bleu:
                 self._bleu[stats] = sentence_bleu(stats)
-
-
-def profile_for(
-    profiles: dict[int, ReferenceStats], refs: ReferenceSet, sent_id: int
-) -> ReferenceStats:
-    """The profile of ``sent_id`` in ``profiles``, built and stored on first use."""
-    profile = profiles.get(sent_id)
-    if profile is None:
-        profile = profiles[sent_id] = ReferenceStats(refs[sent_id])
-    return profile
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:

@@ -31,7 +31,7 @@ from .corpus import (
     parse_weights,
     weights_vector,
 )
-from .bleu import ReferenceStats, corpus_bleu
+from .bleu import corpus_bleu
 from .trainer import RICHNESS_THRESHOLD, TrainConfig, TrainReport, richness, train
 from .tuner import SyntheticDecoder, SyntheticDecoderSpec, TuneConfig, rerank, run_tuning
 
@@ -64,18 +64,20 @@ def _check_at_least_one(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _train_config(args: argparse.Namespace, sample_size: int | None = None) -> TrainConfig:
+    """The TrainConfig of the shared training flags; raises ValueError on a bad one."""
+    cfg = TrainConfig(
+        k=args.k, max_iters=args.max_iter, l2_scale=args.l2, sample_size=sample_size, seed=args.seed
+    )
+    # --workers has no effect (evaluation is one vectorized pass); it stays
+    # accepted, and validated, so existing command lines keep working
+    _check_at_least_one("workers", args.workers)
+    return cfg
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     try:
-        cfg = TrainConfig(
-            k=args.k,
-            max_iters=args.max_iter,
-            l2_scale=args.l2,
-            sample_size=args.sample_size,
-            seed=args.seed,
-        )
-        # --workers has no effect (evaluation is one vectorized pass); it stays
-        # accepted, and validated, so existing command lines keep working
-        _check_at_least_one("workers", args.workers)
+        cfg = _train_config(args, args.sample_size)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -124,9 +126,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     refs = _read_refs(args.refs)
     total = None
     for sent_id, tokens in hyps.items():
-        if sent_id not in refs:
-            raise DataError(f"sentence {sent_id} has no reference")
-        stats = ReferenceStats(refs[sent_id]).stats_for(tokens)
+        stats = refs.profile(sent_id).stats_for(tokens)
         total = stats if total is None else total + stats
     if total is None:
         raise DataError("no hypotheses to evaluate")
@@ -185,13 +185,7 @@ def _load_decoder_spec(path: str, fallback_seed: int) -> SyntheticDecoderSpec:
 
 def cmd_tune_sim(args: argparse.Namespace) -> int:
     try:
-        train_cfg = TrainConfig(
-            k=args.k,
-            max_iters=args.max_iter,
-            l2_scale=args.l2,
-            seed=args.seed,
-        )
-        _check_at_least_one("workers", args.workers)
+        train_cfg = _train_config(args)
         _check_at_least_one("per_round", args.per_round)
         cfg = TuneConfig(train_cfg=train_cfg, max_rounds=args.rounds, resample_m=args.resample_m)
     except ValueError as err:
@@ -215,6 +209,19 @@ def cmd_tune_sim(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_training_args(
+    p: argparse.ArgumentParser, size_flag: str, size_default: int | None, size_help: str
+) -> None:
+    """Add the training flags train and tune-sim share.  Each names its
+    list-size flag differently; it goes between --seed and --workers."""
+    p.add_argument("--k", type=int, default=5, help="ranked-prefix length (default 5)")
+    p.add_argument("--l2", type=float, default=1.0, help="Gaussian penalty scale (default 1.0)")
+    p.add_argument("--max-iter", type=int, default=500, help="optimizer iteration cap (default 500)")
+    p.add_argument("--seed", type=int, default=42, help="root random seed (default 42)")
+    p.add_argument(size_flag, type=int, default=size_default, help=size_help)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect; must be >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plrank", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,12 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbest", required=True, help="N-best hypothesis file")
     p.add_argument("--refs", required=True, help="reference file")
     p.add_argument("--out", required=True, help="output weights file")
-    p.add_argument("--k", type=int, default=5, help="ranked-prefix length (default 5)")
-    p.add_argument("--l2", type=float, default=1.0, help="Gaussian penalty scale (default 1.0)")
-    p.add_argument("--max-iter", type=int, default=500, help="optimizer iteration cap (default 500)")
-    p.add_argument("--seed", type=int, default=42, help="root random seed (default 42)")
-    p.add_argument("--sample-size", type=int, default=None, help="resample lists to this size")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect; must be >= 1")
+    _add_training_args(p, "--sample-size", None, "resample lists to this size")
     p.add_argument("--history", default=None, help="write per-iteration CSV here")
     p.set_defaults(func=cmd_train)
 
@@ -252,12 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True)
     p.add_argument("--rounds", type=int, default=40, help="maximum tuning rounds (default 40)")
     p.add_argument("--per-round", type=int, default=200, help="hypotheses per sentence per round (default 200)")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--resample-m", type=int, default=30, help="list size after resampling (default 30)")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect; must be >= 1")
+    _add_training_args(p, "--resample-m", 30, "list size after resampling (default 30)")
     p.add_argument("--out", required=True, help="output weights file")
     p.add_argument("--history", default=None, help="write per-round CSV here")
     p.set_defaults(func=cmd_tune_sim)

@@ -20,11 +20,13 @@ followed by writing reproduces a canonically formatted file byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+from .bleu import ReferenceStats
 
 FIELD_SEP = " ||| "
 
@@ -92,9 +94,17 @@ class Corpus:
 
 @dataclass(frozen=True, slots=True)
 class ReferenceSet:
-    """References per sentence: sent_id -> one or more token sequences."""
+    """References per sentence: sent_id -> one or more token sequences.
+
+    The set owns each sentence's BLEU profile (see :meth:`profile`), so
+    everything scored against one set, over any number of training runs,
+    is scored once.  The profiles take no part in comparison.
+    """
 
     by_sent: dict[int, tuple[tuple[str, ...], ...]]
+    _profiles: dict[int, ReferenceStats] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __contains__(self, sent_id: int) -> bool:
         return sent_id in self.by_sent
@@ -104,6 +114,16 @@ class ReferenceSet:
 
     def sent_ids(self) -> list[int]:
         return list(self.by_sent)
+
+    def profile(self, sent_id: int) -> ReferenceStats:
+        """The BLEU profile of ``sent_id``, built on first use and kept as
+        long as the set.  Raises DataError if the sentence has no reference."""
+        profile = self._profiles.get(sent_id)
+        if profile is None:
+            if sent_id not in self.by_sent:
+                raise DataError(f"no reference for sentence {sent_id}")
+            profile = self._profiles[sent_id] = ReferenceStats(self.by_sent[sent_id])
+        return profile
 
 
 def format_float(value: float) -> str:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .bleu import ReferenceStats, ground_truth_ranking, profile_for
+from .bleu import ground_truth_ranking
 from .corpus import Corpus, DataError, NBestList, ReferenceSet, dedup, feature_matrix
 from .likelihood import PLInstance, make_evaluator
 from .rng import substream
@@ -286,24 +286,19 @@ def build_instances(
     refs: ReferenceSet,
     cfg: TrainConfig,
     w: np.ndarray,
-    profiles: dict[int, ReferenceStats] | None = None,
 ) -> list[PLInstance]:
     """Deduplicate, optionally resample, rank by BLEU, and index every list.
 
     ``k`` is clamped to each list's (post-processing) size.  Raises
-    DataError if any sentence lacks references.  ``profiles`` maps sentence
-    ids to reference profiles; missing ones are built and stored there, so
-    a caller that keeps the dict across calls scores each hypothesis once.
+    DataError if any sentence lacks references.  BLEU comes from the
+    profiles ``refs`` keeps, so a hypothesis scored against the same set
+    before is not scored again.
     """
-    if profiles is None:
-        profiles = {}
     instances: list[PLInstance] = []
     for lst in corpus.lists:
         sid = lst.sent_id
-        if sid not in refs:
-            raise DataError(f"no reference for sentence {sid}")
+        profile = refs.profile(sid)
         lst = dedup(lst)
-        profile = profile_for(profiles, refs, sid)
         bleus = np.array(profile.sentence_bleus([h.tokens for h in lst.hypotheses]))
         matrix = feature_matrix(lst.hypotheses, corpus.feature_index)
         if cfg.sample_size is not None and cfg.sample_size < len(bleus):
@@ -321,14 +316,12 @@ def train(
     refs: ReferenceSet,
     cfg: TrainConfig,
     w0: np.ndarray | None = None,
-    profiles: dict[int, ReferenceStats] | None = None,
 ) -> TrainReport:
     """Fit weights to a corpus by maximizing the penalized listwise likelihood.
 
     ``w0`` defaults to zeros; it is also the weight vector that steers any
     resampling (and so must be aligned to ``corpus.feature_index``).
-    ``profiles`` is passed to :func:`build_instances`.  Raises DataError
-    on a corpus with no lists.
+    Raises DataError on a corpus with no lists.
     """
     if not corpus.lists:
         raise DataError("empty corpus")
@@ -339,7 +332,7 @@ def train(
         w0 = np.asarray(w0, dtype=float)
         if w0.shape != (n_features,):
             raise ValueError(f"w0 has shape {w0.shape}, expected ({n_features},)")
-    instances = build_instances(corpus, refs, cfg, w0, profiles)
+    instances = build_instances(corpus, refs, cfg, w0)
     evaluate = make_evaluator(instances, cfg.l2_scale)
     # extreme feature values overflow the objective or the search direction;
     # the optimizer's finiteness check reports that instead of numpy warnings

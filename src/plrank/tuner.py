@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bleu import ReferenceStats, corpus_bleu, profile_for
+from .bleu import corpus_bleu
 from .corpus import (
     Corpus,
     DataError,
@@ -37,6 +37,9 @@ from .trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
 # the forward reference keeps Corpus out of typing's parametrization cache,
 # which would otherwise pin every re-imported plrank.corpus module
 DecoderInterface = Callable[[Mapping[str, float], int], "Corpus"]
+
+# the largest spec feature_dim: its planted weights take 80 MB
+MAX_FEATURE_DIM = 10**7
 
 
 @dataclass(slots=True)
@@ -84,8 +87,8 @@ class SyntheticDecoderSpec:
     def __post_init__(self):
         if self.num_sentences < 1:
             raise ValueError(f"num_sentences must be >= 1, got {self.num_sentences}")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise ValueError(f"feature_dim must be in [1, {MAX_FEATURE_DIM}], got {self.feature_dim}")
         if not 0 <= self.noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.ref_len < 1:
@@ -191,12 +194,10 @@ def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
     return out
 
 
-def _top1_corpus_bleu(
-    corpus: Corpus, w: np.ndarray, refs: ReferenceSet, profiles: dict[int, ReferenceStats]
-) -> float:
+def _top1_corpus_bleu(corpus: Corpus, w: np.ndarray, refs: ReferenceSet) -> float:
     total = None
     for lst in rerank(corpus, w, top=1):
-        stats = profile_for(profiles, refs, lst.sent_id).stats_for(lst.hypotheses[0].tokens)
+        stats = refs.profile(lst.sent_id).stats_for(lst.hypotheses[0].tokens)
         total = stats if total is None else total + stats
     return 100.0 * corpus_bleu(total)
 
@@ -211,14 +212,12 @@ def run_tuning(
 
     Returns the final weights by feature name and one record per completed
     round.  Stops early as soon as a round contributes no new hypothesis.
-    Raises DataError if round 1 produces an empty corpus.
+    Raises DataError if round 1 produces an empty corpus.  ``refs`` keeps
+    the BLEU profiles, so each hypothesis of the growing pool is scored once.
     """
     named: dict[str, float] = dict(w0) if w0 else {}
     accumulated: Corpus | None = None
     records: list[RoundRecord] = []
-    # one reference profile per sentence for the whole run: the pool only
-    # grows, so each profile's memo scores every hypothesis once
-    profiles: dict[int, ReferenceStats] = {}
     for round_idx in range(1, cfg.max_rounds + 1):
         fresh = decoder(named, round_idx)
         if round_idx == 1:
@@ -238,13 +237,13 @@ def run_tuning(
             seed=derive_seed(cfg.train_cfg.seed, "round", round_idx),
         )
         w_start, _ = weights_vector(named, accumulated.feature_index)
-        report = train(accumulated, refs, round_cfg, w_start, profiles)
+        report = train(accumulated, refs, round_cfg, w_start)
         w = report.final_weights
         named = {name: float(w[idx]) for name, idx in accumulated.feature_index.items()}
         records.append(
             RoundRecord(
                 round_idx,
-                _top1_corpus_bleu(accumulated, w, refs, profiles),
+                _top1_corpus_bleu(accumulated, w, refs),
                 report.final_objective,
                 accumulated.total_hypotheses(),
                 rich.r,

@@ -69,7 +69,7 @@ class TestTrain:
             "--out", workdir / "w.txt",
         )
         assert code == 1
-        assert "sentence 1" in stderr
+        assert stderr == "error: no reference for sentence 1\n"
 
     def test_empty_reference_line_names_line(self, workdir, capsys):
         (workdir / "refs.txt").write_text("0 ||| a b\n1 ||| \n")
@@ -309,7 +309,7 @@ class TestEvaluate:
             capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt"
         )
         assert code == 1
-        assert "9" in stderr
+        assert stderr == "error: no reference for sentence 9\n"
 
     def test_negative_sentence_id_names_line(self, evaldir, capsys):
         hyp = evaldir / "hyp.txt"
@@ -491,6 +491,13 @@ class TestTuneSim:
         assert code == 1
         assert stdout == "" and weights == b"" and history == b""
         assert stderr == "error: sentence 0: noise_scale 1e+308 overflows the quality\n"
+
+    def test_feature_dim_above_ceiling_is_rejected_before_drawing(self, simdir, capsys):
+        (simdir / "spec.txt").write_text("num_sentences=4\nfeature_dim=10000001\n")
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
+        assert code == 1
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == "error: bad spec file: feature_dim must be in [1, 10000000], got 10000001\n"
 
     def test_duplicate_spec_key_is_parse_error(self, simdir, capsys):
         (simdir / "spec.txt").write_text("num_sentences=4\nfeature_dim=12\nseed=3\n\nseed=4\n")

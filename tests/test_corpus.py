@@ -253,6 +253,14 @@ class TestRefs:
         assert refs[1] == (("d",),)
         assert 2 not in refs
 
+    def test_profiling_leaves_equality_and_repr_alone(self):
+        text = "0 ||| a b\n1 ||| d\n"
+        refs = parse_refs(text)
+        assert refs.profile(0) is refs.profile(0)
+        refs.profile(0).stats_for(("a", "b"))
+        assert refs == parse_refs(text)
+        assert repr(refs) == repr(parse_refs(text))
+
     def test_malformed_line(self):
         with pytest.raises(ParseError) as err:
             parse_refs("0 ||| a ||| b\n")

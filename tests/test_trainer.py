@@ -296,8 +296,25 @@ class TestTrain:
     def test_missing_reference_names_sentence(self):
         corpus = parse_nbest("0 ||| a ||| f=1.0 ||| 0.0\n7 ||| b ||| f=2.0 ||| 0.0\n")
         refs = ReferenceSet({0: (("a",),)})
-        with pytest.raises(DataError, match="sentence 7"):
+        with pytest.raises(DataError, match="^no reference for sentence 7$"):
             train(corpus, refs, TrainConfig(max_iters=2))
+
+    def test_reference_set_profiles_each_sentence_once_across_runs(self, monkeypatch):
+        built = []
+        init = ReferenceStats.__init__
+
+        def spy(self, refs, *args, **kwargs):
+            built.append(tuple(refs))
+            init(self, refs, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceStats, "__init__", spy)
+        corpus, refs, _ = toy_training_setup(np.random.default_rng(15), n_sentences=6)
+        cfg = TrainConfig(k=3, sample_size=5, seed=2, max_iters=40)
+        first = train(corpus, refs, cfg).final_weights
+        second = train(corpus, refs, cfg).final_weights
+        assert len(built) == len(set(built)) == 6
+        fresh = train(corpus, ReferenceSet(dict(refs.by_sent)), cfg).final_weights
+        assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
     def test_k_clamped_to_list_size(self):
         corpus = parse_nbest("0 ||| a ||| f=1.0 ||| 0.0\n0 ||| b ||| g=1.0 ||| 0.0\n")
