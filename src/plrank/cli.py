@@ -22,16 +22,15 @@ from .corpus import (
     DataError,
     ParseError,
     ReferenceSet,
-    _parse_sent_id,
     feature_matrix,
     format_float,
     format_weights,
+    parse_first_hypotheses,
     parse_nbest,
     parse_refs,
     parse_weights,
     weights_vector,
 )
-from .bleu import corpus_bleu
 from .trainer import RICHNESS_THRESHOLD, TrainConfig, TrainReport, richness, train
 from .tuner import SyntheticDecoder, SyntheticDecoderSpec, TuneConfig, rerank, run_tuning
 
@@ -104,33 +103,16 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         scores = feature_matrix(lst.hypotheses, corpus.feature_index) @ w
         for hyp, score in zip(lst.hypotheses, scores):
             feats = " ".join(f"{n}={format_float(v)}" for n, v in hyp.features.items())
-            print(f"{hyp.sent_id} ||| {' '.join(hyp.tokens)} ||| {feats} ||| {format_float(score)}")
+            print(f"{lst.sent_id} ||| {' '.join(hyp.tokens)} ||| {feats} ||| {format_float(score)}")
     return 0
 
 
-def _read_hyp_sentences(path: str) -> dict[int, tuple[str, ...]]:
-    """First hypothesis per sentence from N-best or ``sent_id ||| tokens`` lines."""
-    first: dict[int, tuple[str, ...]] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        fields = [f.strip() for f in raw.split("|||")]
-        if len(fields) not in (2, 4):
-            raise ParseError(line_no, f"expected 2 or 4 '|||'-separated fields, got {len(fields)}")
-        sent_id = _parse_sent_id(fields[0], line_no)
-        if sent_id not in first:
-            first[sent_id] = tuple(fields[1].split())
-    return first
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    hyps = _read_hyp_sentences(args.hyp)
+    hyps = parse_first_hypotheses(_read_text(args.hyp))
     refs = _read_refs(args.refs)
-    total = None
-    for sent_id, tokens in hyps.items():
-        stats = refs.profile(sent_id).stats_for(tokens)
-        total = stats if total is None else total + stats
-    if total is None:
+    if not hyps:
         raise DataError("no hypotheses to evaluate")
-    print(f"BLEU = {100.0 * corpus_bleu(total):.2f}")
+    print(f"BLEU = {refs.bleu(hyps.items()):.2f}")
     return 0
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .bleu import ReferenceStats
+from .bleu import BleuStats, ReferenceStats, corpus_bleu
 
 FIELD_SEP = " ||| "
 
@@ -45,13 +45,13 @@ class DataError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Hypothesis:
-    """One candidate translation with its sparse feature vector.
+    """One candidate translation with its sparse feature vector; its
+    sentence is the ``sent_id`` of the NBestList holding it.
 
     Features absent from ``features`` are implicitly zero.  ``features``
     preserves the order in which names appeared on the input line.
     """
 
-    sent_id: int
     tokens: tuple[str, ...]
     features: dict[str, float]
     decoder_score: float
@@ -106,14 +106,12 @@ class ReferenceSet:
         default_factory=dict, init=False, compare=False, repr=False
     )
 
+    # without this, ``in`` would iterate __getitem__ from 0 and raise KeyError
     def __contains__(self, sent_id: int) -> bool:
         return sent_id in self.by_sent
 
     def __getitem__(self, sent_id: int) -> tuple[tuple[str, ...], ...]:
         return self.by_sent[sent_id]
-
-    def sent_ids(self) -> list[int]:
-        return list(self.by_sent)
 
     def profile(self, sent_id: int) -> ReferenceStats:
         """The BLEU profile of ``sent_id``, built on first use and kept as
@@ -124,6 +122,12 @@ class ReferenceSet:
                 raise DataError(f"no reference for sentence {sent_id}")
             profile = self._profiles[sent_id] = ReferenceStats(self.by_sent[sent_id])
         return profile
+
+    def bleu(self, pairs: Iterable[tuple[int, Sequence[str]]]) -> float:
+        """Corpus BLEU (0-100) of ``(sent_id, tokens)`` pairs, one per sentence,
+        over their pooled statistics."""
+        stats = (self.profile(sent_id).stats_for(tokens) for sent_id, tokens in pairs)
+        return 100.0 * corpus_bleu(sum(stats, BleuStats.zero()))
 
 
 def format_float(value: float) -> str:
@@ -155,6 +159,22 @@ def _lines(stream: str | Iterable[str]) -> Iterable[str]:
     return stream.splitlines() if isinstance(stream, str) else stream
 
 
+def _records(
+    stream: str | Iterable[str], counts: tuple[int, ...]
+) -> Iterator[tuple[int, int, list[str]]]:
+    """Yield ``(line_no, sent_id, fields)`` per ``|||`` line, fields stripped.
+
+    Raises ParseError on a line whose field count is not in ``counts`` and
+    on a sentence id that is not a non-negative integer.
+    """
+    expected = " or ".join(map(str, counts))
+    for line_no, raw in enumerate(_lines(stream), start=1):
+        fields = [f.strip() for f in raw.split("|||")]
+        if len(fields) not in counts:
+            raise ParseError(line_no, f"expected {expected} '|||'-separated fields, got {len(fields)}")
+        yield line_no, _parse_sent_id(fields[0], line_no), fields
+
+
 def parse_nbest(stream: str | Iterable[str]) -> Corpus:
     """Parse N-best lines into a Corpus.
 
@@ -165,12 +185,7 @@ def parse_nbest(stream: str | Iterable[str]) -> Corpus:
     order: list[int] = []
     grouped: dict[int, list[Hypothesis]] = {}
     index: dict[str, int] = {}
-    for line_no, raw in enumerate(_lines(stream), start=1):
-        line = raw.rstrip("\n")
-        fields = [f.strip() for f in line.split("|||")]
-        if len(fields) != 4:
-            raise ParseError(line_no, f"expected 4 '|||'-separated fields, got {len(fields)}")
-        sent_id = _parse_sent_id(fields[0], line_no)
+    for line_no, sent_id, fields in _records(stream, (4,)):
         tokens = tuple(fields[1].split())
         features: dict[str, float] = {}
         if fields[2]:
@@ -188,7 +203,7 @@ def parse_nbest(stream: str | Iterable[str]) -> Corpus:
         if sent_id not in grouped:
             grouped[sent_id] = []
             order.append(sent_id)
-        grouped[sent_id].append(Hypothesis(sent_id, tokens, features, score))
+        grouped[sent_id].append(Hypothesis(tokens, features, score))
     lists = tuple(NBestList(sid, tuple(grouped[sid])) for sid in order)
     return Corpus(lists, index)
 
@@ -201,7 +216,7 @@ def write_nbest(corpus: Corpus) -> str:
             feats = " ".join(f"{name}={format_float(v)}" for name, v in hyp.features.items())
             out.append(
                 FIELD_SEP.join(
-                    [str(hyp.sent_id), " ".join(hyp.tokens), feats, format_float(hyp.decoder_score)]
+                    [str(lst.sent_id), " ".join(hyp.tokens), feats, format_float(hyp.decoder_score)]
                 )
             )
     return "".join(line + "\n" for line in out)
@@ -213,17 +228,22 @@ def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
     A line with no reference tokens is a ParseError.
     """
     by_sent: dict[int, list[tuple[str, ...]]] = {}
-    for line_no, raw in enumerate(_lines(stream), start=1):
-        line = raw.rstrip("\n")
-        fields = [f.strip() for f in line.split("|||")]
-        if len(fields) != 2:
-            raise ParseError(line_no, f"expected 2 '|||'-separated fields, got {len(fields)}")
-        sent_id = _parse_sent_id(fields[0], line_no)
+    for line_no, sent_id, fields in _records(stream, (2,)):
         tokens = tuple(fields[1].split())
         if not tokens:
             raise ParseError(line_no, f"empty reference for sentence {sent_id}")
         by_sent.setdefault(sent_id, []).append(tokens)
     return ReferenceSet({sid: tuple(refs) for sid, refs in by_sent.items()})
+
+
+def parse_first_hypotheses(stream: str | Iterable[str]) -> dict[int, tuple[str, ...]]:
+    """The first hypothesis's tokens per sentence, in first-occurrence order,
+    from N-best lines or ``sent_id ||| tokens`` lines (or a mix)."""
+    first: dict[int, tuple[str, ...]] = {}
+    for _, sent_id, fields in _records(stream, (2, 4)):
+        if sent_id not in first:
+            first[sent_id] = tuple(fields[1].split())
+    return first
 
 
 def dedup(lst: NBestList) -> NBestList:

@@ -20,7 +20,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bleu import corpus_bleu
 from .corpus import (
     Corpus,
     DataError,
@@ -128,7 +127,7 @@ def synthetic_decode(
     round, hypothesis); so every list spans the quality range and sentence
     BLEU is strictly monotone in the prefix length.
     """
-    sids = sorted(refs.sent_ids())
+    sids = sorted(refs.by_sent)
     if len(sids) < spec.num_sentences:
         raise DataError(
             f"references cover {len(sids)} sentences, spec needs {spec.num_sentences}"
@@ -161,7 +160,7 @@ def synthetic_decode(
                 f"x{sid}r{round_idx}h{j}p{t}" for t in range(prefix, length)
             )
             score = sum(weights.get(name, 0.0) * v for name, v in features[j].items())
-            hyps.append(Hypothesis(sid, tokens, features[j], score))
+            hyps.append(Hypothesis(tokens, features[j], score))
         lists.append(NBestList(sid, tuple(hyps)))
     return Corpus.from_lists(lists)
 
@@ -195,40 +194,31 @@ def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
 
 
 def _top1_corpus_bleu(corpus: Corpus, w: np.ndarray, refs: ReferenceSet) -> float:
-    total = None
-    for lst in rerank(corpus, w, top=1):
-        stats = refs.profile(lst.sent_id).stats_for(lst.hypotheses[0].tokens)
-        total = stats if total is None else total + stats
-    return 100.0 * corpus_bleu(total)
+    return refs.bleu((lst.sent_id, lst.hypotheses[0].tokens) for lst in rerank(corpus, w, top=1))
 
 
 def run_tuning(
-    decoder: DecoderInterface,
-    refs: ReferenceSet,
-    cfg: TuneConfig,
-    w0: Mapping[str, float] | None = None,
+    decoder: DecoderInterface, refs: ReferenceSet, cfg: TuneConfig
 ) -> tuple[dict[str, float], list[RoundRecord]]:
-    """Run up to max_rounds of decode / merge / (resample) / retrain.
+    """Run up to max_rounds of decode / merge / (resample) / retrain,
+    starting from zero weights and an empty pool.
 
     Returns the final weights by feature name and one record per completed
-    round.  Stops early as soon as a round contributes no new hypothesis.
-    Raises DataError if round 1 produces an empty corpus.  ``refs`` keeps
-    the BLEU profiles, so each hypothesis of the growing pool is scored once.
+    round.  Every round, the first included, is merged into the pool
+    (deduplicating), and the loop stops as soon as a round contributes no
+    new hypothesis; on round 1 that raises DataError.  ``refs`` keeps the
+    BLEU profiles, so each hypothesis of the growing pool is scored once.
     """
-    named: dict[str, float] = dict(w0) if w0 else {}
-    accumulated: Corpus | None = None
+    named: dict[str, float] = {}
+    accumulated = Corpus((), {})
     records: list[RoundRecord] = []
     for round_idx in range(1, cfg.max_rounds + 1):
-        fresh = decoder(named, round_idx)
-        if round_idx == 1:
-            if fresh.total_hypotheses() == 0:
+        before = accumulated.total_hypotheses()
+        accumulated = merge(accumulated, decoder(named, round_idx))
+        if accumulated.total_hypotheses() == before:
+            if round_idx == 1:
                 raise DataError("decoder produced no hypotheses on round 1")
-            accumulated = fresh
-        else:
-            before = accumulated.total_hypotheses()
-            accumulated = merge(accumulated, fresh)
-            if accumulated.total_hypotheses() == before:
-                break
+            break
         rich = richness(accumulated)
         sample = cfg.resample_m if rich.r < RICHNESS_THRESHOLD else cfg.train_cfg.sample_size
         round_cfg = replace(

@@ -151,7 +151,7 @@ def test_06_richness_ratio_and_resampling_recommendation(tmp_path, capsys):
     for t in range(7491):
         hyps[t % 600 // 300][t % 600 % 300][1][f"g{t}"] = 1.0
     lists = [
-        NBestList(s, tuple(Hypothesis(s, (tok,), feats, 0.0) for tok, feats in rows))
+        NBestList(s, tuple(Hypothesis((tok,), feats, 0.0) for tok, feats in rows))
         for s, rows in enumerate(hyps)
     ]
     corpus = Corpus.from_lists(lists)
@@ -176,7 +176,7 @@ def test_06_richness_ratio_and_resampling_recommendation(tmp_path, capsys):
 
 def test_07_resampler_keeps_extremes_and_samples_the_rest_uniformly():
     n, m = 300, 30
-    lst = NBestList(0, tuple(Hypothesis(0, (f"t{i}",), {"b": 1.0}, 0.0) for i in range(n)))
+    lst = NBestList(0, tuple(Hypothesis((f"t{i}",), {"b": 1.0}, 0.0) for i in range(n)))
     bleus = np.linspace(1.0, 0.0, n)
     anchors = set(range(10)) | set(range(n - 10, n))
     index = {"b": 0}
@@ -314,7 +314,7 @@ def test_12_nbest_round_trip_is_byte_identical():
             tokens = tuple(rng.choice(vocab, rng.integers(3, 9)))
             names = rng.choice(20, rng.integers(1, 6), replace=False)
             feats = {f"f{i}": float(v) for i, v in zip(names, rng.standard_normal(len(names)))}
-            hyps.append(Hypothesis(sid, tokens, feats, float(rng.standard_normal())))
+            hyps.append(Hypothesis(tokens, feats, float(rng.standard_normal())))
         lists.append(NBestList(sid, tuple(hyps)))
     text = write_nbest(Corpus.from_lists(lists))
     assert text.count("\n") == 1000

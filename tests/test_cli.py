@@ -331,6 +331,26 @@ class TestEvaluate:
         assert stdout == ""
         assert stderr == "error: line 2: empty reference for sentence 1\n"
 
+    def test_three_field_line_names_line(self, evaldir, capsys):
+        hyp = evaldir / "hyp.txt"
+        hyp.write_text("0 ||| a b c d e\n1 ||| v w x ||| f=1.0\n")
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 2: expected 2 or 4 '|||'-separated fields, got 3\n"
+
+    def test_empty_hypothesis_file_is_data_error(self, evaldir, capsys):
+        hyp = evaldir / "hyp.txt"
+        hyp.write_text("")
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: no hypotheses to evaluate\n"
+
 
 class TestRichness:
     def test_reports_and_recommends_resampling(self, workdir, capsys):

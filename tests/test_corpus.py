@@ -34,7 +34,7 @@ FORMAT_CHARS = st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")
 
 
 def hyp(sent_id, tokens, features=None, score=0.0):
-    return Hypothesis(sent_id, tuple(tokens.split()), dict(features or {}), score)
+    return Hypothesis(tuple(tokens.split()), dict(features or {}), score)
 
 
 class TestParseNbest:
@@ -42,7 +42,7 @@ class TestParseNbest:
         corpus = parse_nbest(SAMPLE)
         assert len(corpus.lists) == 2
         first = corpus.lists[0].hypotheses[0]
-        assert first.sent_id == 0
+        assert corpus.lists[0].sent_id == 0
         assert first.tokens == ("der", "mann")
         assert first.features == {"lm": -2.5, "tm": 0.4}
         assert first.decoder_score == -1.25
@@ -135,7 +135,7 @@ class TestRoundTrip:
     @settings(max_examples=60)
     def test_write_parse_write_fixpoint(self, groups):
         lists = [
-            NBestList(sid, tuple(Hypothesis(sid, tuple(t), f, s) for t, f, s in hyps))
+            NBestList(sid, tuple(Hypothesis(tuple(t), f, s) for t, f, s in hyps))
             for sid, hyps in enumerate(groups)
         ]
         corpus = Corpus.from_lists(lists)

@@ -121,7 +121,7 @@ class TestLbfgs:
 
 def make_list(sent_id, n, feature_index):
     hyps = tuple(
-        Hypothesis(sent_id, (f"t{i}",), {name: 1.0 for name in feature_index}, 0.0)
+        Hypothesis((f"t{i}",), {name: 1.0 for name in feature_index}, 0.0)
         for i in range(n)
     )
     return NBestList(sent_id, hyps)
@@ -182,7 +182,7 @@ class TestResample:
         index = {"f": 0}
         n, m = 9, 3
         hyps = tuple(
-            Hypothesis(0, (f"t{i}",), {"f": 50.0 if i == 4 else 0.0}, 0.0) for i in range(n)
+            Hypothesis((f"t{i}",), {"f": 50.0 if i == 4 else 0.0}, 0.0) for i in range(n)
         )
         lst = NBestList(0, hyps)
         bleus = np.linspace(0, 1, n)
@@ -226,7 +226,7 @@ class TestRichness:
             for i in range(per_list):
                 owned = range(sid * per_list + i, n_features, 2 * per_list)
                 hyps.append(
-                    Hypothesis(sid, (f"t{i}",), {f"f{j}": 1.0 for j in owned}, 0.0)
+                    Hypothesis((f"t{i}",), {f"f{j}": 1.0 for j in owned}, 0.0)
                 )
             lists.append(NBestList(sid, tuple(hyps)))
         corpus = Corpus.from_lists(lists)
@@ -286,7 +286,7 @@ def toy_training_setup(rng, n_sentences=30, n_hyps=8, n_features=10):
             prefix = prefix_of_rank[j]
             tokens = ref[:prefix] + tuple(f"x{sid}j{j}p{t}" for t in range(prefix, n_hyps))
             hyps.append(
-                Hypothesis(sid, tokens, {n: float(v) for n, v in zip(names, feats[j])}, 0.0)
+                Hypothesis(tokens, {n: float(v) for n, v in zip(names, feats[j])}, 0.0)
             )
         lists.append(NBestList(sid, tuple(hyps)))
     return Corpus.from_lists(lists), ReferenceSet(refs), w_star

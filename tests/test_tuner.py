@@ -10,7 +10,7 @@ import pytest
 import scipy.stats
 
 from plrank.bleu import ReferenceStats, sentence_bleu
-from plrank.corpus import Corpus, DataError, parse_nbest, weights_vector
+from plrank.corpus import Corpus, DataError, NBestList, parse_nbest, parse_refs, weights_vector
 from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig
 from plrank.tuner import (
     SyntheticDecoder,
@@ -198,6 +198,21 @@ class TestRunTuning:
         _, records = run_tuning(fixed_pool, refs, tune_cfg(max_rounds=10))
         assert len(records) == 1  # round 2 adds nothing new
 
+    def test_duplicate_in_first_round_does_not_stop_the_loop(self):
+        rounds = {
+            1: "0 ||| a b ||| f=1.0 ||| 0.0\n0 ||| a b ||| f=1.0 ||| 0.0\n0 ||| x y ||| g=1.0 ||| 0.0\n",
+            2: "0 ||| a b c ||| f=2.0 ||| 0.0\n",
+        }
+        later = "0 ||| a b c d ||| f=3.0 ||| 0.0\n"
+
+        def decoder(weights, round_idx):
+            return parse_nbest(rounds.get(round_idx, later))
+
+        _, records = run_tuning(decoder, parse_refs("0 ||| a b c d\n"), tune_cfg(max_rounds=10))
+        # round 1 is deduplicated like every later round, so round 2's one new
+        # hypothesis counts; round 4 repeats round 3 and stops the loop
+        assert [r.corpus_size for r in records] == [2, 3, 4]
+
     def test_empty_first_round_rejected(self):
         refs = synthetic_references(small_spec())
 
@@ -206,6 +221,15 @@ class TestRunTuning:
 
         with pytest.raises(DataError):
             run_tuning(empty, refs, tune_cfg())
+
+    def test_first_round_of_empty_lists_rejected(self):
+        refs = synthetic_references(small_spec())
+
+        def empty_lists(weights, round_idx):
+            return Corpus((NBestList(0, ()), NBestList(1, ())), {})
+
+        with pytest.raises(DataError, match="^decoder produced no hypotheses on round 1$"):
+            run_tuning(empty_lists, refs, tune_cfg())
 
     def test_single_round_matches_direct_training(self):
         spec = small_spec()
