@@ -25,6 +25,8 @@ from .corpus import (
     feature_matrix,
     format_float,
     format_weights,
+    model_scores,
+    nbest_line,
     parse_first_hypotheses,
     parse_nbest,
     parse_refs,
@@ -100,10 +102,9 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     for name in unknown:
         print(f"warning: weight feature {name!r} not in corpus; ignored", file=sys.stderr)
     for lst in rerank(corpus, w, top=args.top):
-        scores = feature_matrix(lst.hypotheses, corpus.feature_index) @ w
+        scores = model_scores(feature_matrix(lst.hypotheses, corpus.feature_index), w, lst.sent_id)
         for hyp, score in zip(lst.hypotheses, scores):
-            feats = " ".join(f"{n}={format_float(v)}" for n, v in hyp.features.items())
-            print(f"{lst.sent_id} ||| {' '.join(hyp.tokens)} ||| {feats} ||| {format_float(score)}")
+            print(nbest_line(lst.sent_id, hyp, score))
     return 0
 
 

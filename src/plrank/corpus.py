@@ -136,10 +136,10 @@ def format_float(value: float) -> str:
 
 
 def _parse_sent_id(text: str, line_no: int) -> int:
-    try:
-        sent_id = int(text)
-    except ValueError:
-        raise ParseError(line_no, f"sentence id {text!r} is not an integer") from None
+    # ASCII digits only: int() would also read "+1", "1_0" and non-ASCII digits
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ParseError(line_no, f"sentence id {text!r} is not an integer")
+    sent_id = int(text)
     if sent_id < 0:
         raise ParseError(line_no, f"sentence id {sent_id} is negative")
     return sent_id
@@ -147,6 +147,9 @@ def _parse_sent_id(text: str, line_no: int) -> int:
 
 def _parse_number(text: str, line_no: int, what: str) -> float:
     try:
+        # float() would also read "1_0" and non-ASCII digits
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = float(text)
     except ValueError:
         raise ParseError(line_no, f"{what} {text!r} is not a number") from None
@@ -175,51 +178,50 @@ def _records(
         yield line_no, _parse_sent_id(fields[0], line_no), fields
 
 
-def parse_nbest(stream: str | Iterable[str]) -> Corpus:
-    """Parse N-best lines into a Corpus.
+def _hypothesis(line_no: int, fields: Sequence[str]) -> Hypothesis:
+    """The hypothesis of one N-best line's four stripped fields; raises
+    ParseError on a malformed or repeated feature and on a bad number."""
+    tokens = tuple(fields[1].split())
+    features: dict[str, float] = {}
+    for item in fields[2].split():
+        name, eq, value = item.partition("=")
+        if not eq or not name:
+            raise ParseError(line_no, f"feature {item!r} is not <name>=<value>")
+        if name in features:
+            raise ParseError(line_no, f"duplicate feature {name!r}")
+        features[name] = _parse_number(value, line_no, f"feature {name!r} value")
+    return Hypothesis(tokens, features, _parse_number(fields[3], line_no, "decoder score"))
 
-    Raises ParseError (with the offending line number) on a line that does
-    not have exactly four ``|||`` fields, on a non-numeric feature value or
-    score, and on a feature name repeated within one line.
-    """
+
+def parse_nbest(stream: str | Iterable[str]) -> Corpus:
+    """Parse N-best lines into a Corpus.  Raises ParseError (with the line
+    number) on a line without four ``|||`` fields or with a malformed hypothesis."""
     order: list[int] = []
     grouped: dict[int, list[Hypothesis]] = {}
     index: dict[str, int] = {}
     for line_no, sent_id, fields in _records(stream, (4,)):
-        tokens = tuple(fields[1].split())
-        features: dict[str, float] = {}
-        if fields[2]:
-            for item in fields[2].split():
-                name, eq, value = item.partition("=")
-                if not eq or not name:
-                    raise ParseError(line_no, f"feature {item!r} is not <name>=<value>")
-                if name in features:
-                    raise ParseError(line_no, f"duplicate feature {name!r}")
-                features[name] = _parse_number(value, line_no, f"feature {name!r} value")
-        score = _parse_number(fields[3], line_no, "decoder score")
-        for name in features:
+        hyp = _hypothesis(line_no, fields)
+        for name in hyp.features:
             if name not in index:
                 index[name] = len(index)
         if sent_id not in grouped:
             grouped[sent_id] = []
             order.append(sent_id)
-        grouped[sent_id].append(Hypothesis(tokens, features, score))
+        grouped[sent_id].append(hyp)
     lists = tuple(NBestList(sid, tuple(grouped[sid])) for sid in order)
     return Corpus(lists, index)
 
 
+def nbest_line(sent_id: int, hyp: Hypothesis, score: float) -> str:
+    """One N-best line, without its newline, with ``score`` as the last field."""
+    feats = " ".join(f"{name}={format_float(v)}" for name, v in hyp.features.items())
+    return FIELD_SEP.join([str(sent_id), " ".join(hyp.tokens), feats, format_float(score)])
+
+
 def write_nbest(corpus: Corpus) -> str:
     """Render a Corpus back into N-best lines (inverse of parse_nbest)."""
-    out: list[str] = []
-    for lst in corpus.lists:
-        for hyp in lst.hypotheses:
-            feats = " ".join(f"{name}={format_float(v)}" for name, v in hyp.features.items())
-            out.append(
-                FIELD_SEP.join(
-                    [str(lst.sent_id), " ".join(hyp.tokens), feats, format_float(hyp.decoder_score)]
-                )
-            )
-    return "".join(line + "\n" for line in out)
+    lines = (nbest_line(lst.sent_id, h, h.decoder_score) for lst in corpus.lists for h in lst.hypotheses)
+    return "".join(line + "\n" for line in lines)
 
 
 def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
@@ -238,11 +240,12 @@ def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
 
 def parse_first_hypotheses(stream: str | Iterable[str]) -> dict[int, tuple[str, ...]]:
     """The first hypothesis's tokens per sentence, in first-occurrence order,
-    from N-best lines or ``sent_id ||| tokens`` lines (or a mix)."""
+    from N-best lines or ``sent_id ||| tokens`` lines (or a mix).  Every
+    N-best line is checked as :func:`parse_nbest` checks it."""
     first: dict[int, tuple[str, ...]] = {}
-    for _, sent_id, fields in _records(stream, (2, 4)):
-        if sent_id not in first:
-            first[sent_id] = tuple(fields[1].split())
+    for line_no, sent_id, fields in _records(stream, (2, 4)):
+        tokens = _hypothesis(line_no, fields).tokens if len(fields) == 4 else tuple(fields[1].split())
+        first.setdefault(sent_id, tokens)
     return first
 
 
@@ -294,6 +297,15 @@ def feature_matrix(
         (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
         shape=(len(hypotheses), len(feature_index)),
     )
+
+
+def model_scores(matrix: sp.csr_matrix, w: np.ndarray, sent_id: int) -> np.ndarray:
+    """One list's linear model scores ``matrix @ w`` as a flat array; raises
+    DataError naming the sentence if a score overflows or is NaN."""
+    scores = np.asarray(matrix @ w).ravel()
+    if not np.all(np.isfinite(scores)):
+        raise DataError(f"sentence {sent_id}: model score is not finite")
+    return scores
 
 
 def parse_weights(stream: str | Iterable[str]) -> dict[str, float]:

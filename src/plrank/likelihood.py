@@ -40,9 +40,6 @@ class ListDistribution:
             raise ValueError("empty probability vector")
         return cls(np.log(p))
 
-    def __len__(self) -> int:
-        return self.log_probs.size
-
 
 def _choice_order(perm, n: int, where: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Validate a ranked prefix of a list of ``n`` and return it as int64

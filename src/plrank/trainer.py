@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bleu import ground_truth_ranking
-from .corpus import Corpus, DataError, NBestList, ReferenceSet, dedup, feature_matrix
+from .corpus import Corpus, DataError, NBestList, ReferenceSet, dedup, feature_matrix, model_scores
 from .likelihood import PLInstance, make_evaluator
 from .rng import substream
 
@@ -227,14 +227,15 @@ def _resample_indices(
     bleus: np.ndarray, m: int, matrix: sp.csr_matrix, w: np.ndarray, rng_seed: int, sent_id: int
 ) -> np.ndarray:
     """Indices (in original order) of the m hypotheses kept by resampling;
-    draws follow exp(matrix @ w) on the stream of (rng_seed, sent_id)."""
-    scores = np.asarray(matrix @ w).ravel()
-    rng = substream(rng_seed, RESAMPLE_PURPOSE, sent_id)
+    draws follow exp(matrix @ w) on the stream of (rng_seed, sent_id).
+    Raises DataError naming the sentence if a score overflows or is NaN."""
     n = len(bleus)
     if m < 3:
         raise ValueError(f"sample size must be >= 3, got {m}")
     if m >= n:
         return np.arange(n)
+    scores = model_scores(matrix, w, sent_id)
+    rng = substream(rng_seed, RESAMPLE_PURPOSE, sent_id)
     take = m // 3
     descending = sorted(range(n), key=lambda i: (-bleus[i], i))
     ascending = sorted(range(n), key=lambda i: (bleus[i], i))

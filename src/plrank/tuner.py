@@ -28,6 +28,7 @@ from .corpus import (
     ReferenceSet,
     feature_matrix,
     merge,
+    model_scores,
     weights_vector,
 )
 from .rng import derive_seed, substream
@@ -185,9 +186,7 @@ def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
         raise ValueError(f"top must be >= 1, got {top}")
     out = []
     for lst in corpus.lists:
-        scores = np.asarray(feature_matrix(lst.hypotheses, corpus.feature_index) @ w).ravel()
-        if not np.all(np.isfinite(scores)):
-            raise DataError(f"sentence {lst.sent_id}: model score is not finite")
+        scores = model_scores(feature_matrix(lst.hypotheses, corpus.feature_index), w, lst.sent_id)
         order = np.argsort(-scores, kind="stable")[:top]
         out.append(NBestList(lst.sent_id, tuple(lst.hypotheses[i] for i in order)))
     return out

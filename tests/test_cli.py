@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrank.cli import main
-from plrank.corpus import format_float, parse_nbest, parse_weights, weights_vector
+from plrank.corpus import format_float, parse_nbest, parse_weights, weights_vector, write_nbest
 
 NBEST = (
     "0 ||| a b ||| lm=1.0 tm=0.5 ||| 0.0\n"
@@ -340,6 +340,28 @@ class TestEvaluate:
         assert code == 1
         assert stdout == ""
         assert stderr == "error: line 2: expected 2 or 4 '|||'-separated fields, got 3\n"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("0 ||| a a ||| junk ||| 0.0", "feature 'junk' is not <name>=<value>"),
+            ("0 ||| a a ||| f=1.0 f=2.0 ||| 0.0", "duplicate feature 'f'"),
+            ("0 ||| a a ||| f=1.0 ||| notanumber", "decoder score 'notanumber' is not a number"),
+            ("0 ||| a a ||| f=nan ||| 0.0", "feature 'f' value 'nan' is not finite"),
+        ],
+        ids=["bad-feature", "duplicate-feature", "bad-score", "nan-value"],
+    )
+    def test_malformed_nbest_line_rejected_as_train_rejects_it(self, evaldir, capsys, bad, message):
+        # the bad line is sentence 0's second hypothesis, which evaluate does not score
+        hyp = evaldir / "hyp.txt"
+        hyp.write_text(f"0 ||| a b c d e ||| f=1.0 ||| 0.0\n{bad}\n")
+        code, stdout, stderr = run(capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt")
+        train_code, _, train_stderr = run(
+            capsys, "train", "--nbest", hyp, "--refs", evaldir / "refs.txt", "--out", evaldir / "w.txt"
+        )
+        assert code == train_code == 1
+        assert stdout == ""
+        assert stderr == train_stderr == f"error: line 2: {message}\n"
 
     def test_empty_hypothesis_file_is_data_error(self, evaldir, capsys):
         hyp = evaldir / "hyp.txt"
@@ -686,3 +708,5 @@ def test_rerank_prints_the_python_sum_as_score(lists, named):
         assert line.rsplit("|||", 1)[1].strip() == format_float(expected)
         if not hyp.features:
             assert line.endswith("||| 0.0")
+    # every printed line is a canonical N-best line
+    assert write_nbest(parse_nbest(stdout.getvalue())) == stdout.getvalue()

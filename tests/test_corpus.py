@@ -96,6 +96,26 @@ class TestParseNbest:
         assert err.value.line_no == lineno
         assert f"line {lineno}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_nbest, "1_0 ||| a ||| f=1.0 ||| 0.0\n", "sentence id '1_0' is not an integer"),
+            (parse_nbest, "+1 ||| a ||| f=1.0 ||| 0.0\n", "sentence id '+1' is not an integer"),
+            (parse_nbest, "\u0663 ||| a ||| f=1.0 ||| 0.0\n", "sentence id '\u0663' is not an integer"),
+            (parse_refs, "\u0663 ||| a\n", "sentence id '\u0663' is not an integer"),
+            (parse_nbest, "0 ||| a ||| f=1_0.5 ||| 0.0\n", "feature 'f' value '1_0.5' is not a number"),
+            (parse_nbest, "0 ||| a ||| f=1.0 ||| \u0663\n", "decoder score '\u0663' is not a number"),
+            (parse_weights, "f\t1_0\n", "weight 'f' '1_0' is not a number"),
+        ],
+        ids=["underscore-id", "plus-id", "arabic-indic-id", "arabic-indic-ref-id",
+             "underscore-value", "arabic-indic-score", "underscore-weight"],
+    )
+    def test_ids_and_numbers_are_plain_ascii(self, parse, text, message):
+        # int() and float() would read these as 10, 1, 3, 3, 10.5, 3 and 10
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 1: {message}"
+
     def test_error_line_number_points_at_offender(self):
         text = SAMPLE + "9 ||| z ||| broken ||| 0.0\n"
         with pytest.raises(ParseError) as err:

@@ -1,5 +1,7 @@
 """Optimizer behavior, list resampling, richness, and end-to-end training."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,16 @@ class TestTrain:
         assert len(built) == len(set(built)) == 6
         fresh = train(corpus, ReferenceSet(dict(refs.by_sent)), cfg).final_weights
         assert first.tobytes() == second.tobytes() == fresh.tobytes()
+
+    def test_overflowing_resampling_score_names_sentence(self):
+        # h2 lands in the drawn pool: not among the best (h1) or the worst (h0)
+        text = "".join(f"4 ||| h{j} ||| f={'1e308' if j == 2 else j} ||| 0.0\n" for j in range(6))
+        corpus = parse_nbest(text)
+        refs = ReferenceSet({4: (("h1",),)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(DataError, match="^sentence 4: model score is not finite$"):
+                train(corpus, refs, TrainConfig(sample_size=3), w0=np.array([10.0]))
 
     def test_k_clamped_to_list_size(self):
         corpus = parse_nbest("0 ||| a ||| f=1.0 ||| 0.0\n0 ||| b ||| g=1.0 ||| 0.0\n")
