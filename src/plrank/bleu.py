@@ -17,7 +17,8 @@ import numpy as np
 
 from .rng import substream
 
-DEFAULT_MAX_N = 4
+# the largest n-gram order BLEU counts
+MAX_N = 4
 
 # purpose label for ground_truth_ranking's per-sentence tie-breaking streams
 TIE_BREAK_PURPOSE = "bleu-ties"
@@ -37,17 +38,11 @@ class BleuStats:
     hyp_len: int
     ref_len: int
 
-    @property
-    def max_n(self) -> int:
-        return len(self.match)
-
     @classmethod
-    def zero(cls, max_n: int = DEFAULT_MAX_N) -> "BleuStats":
-        return cls((0,) * max_n, (0,) * max_n, 0, 0)
+    def zero(cls) -> "BleuStats":
+        return cls((0,) * MAX_N, (0,) * MAX_N, 0, 0)
 
     def __add__(self, other: "BleuStats") -> "BleuStats":
-        if self.max_n != other.max_n:
-            raise ValueError(f"cannot add stats of order {self.max_n} and {other.max_n}")
         return BleuStats(
             tuple(a + b for a, b in zip(self.match, other.match)),
             tuple(a + b for a, b in zip(self.total, other.total)),
@@ -81,7 +76,7 @@ def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(table[at] == keys, at, -1)
 
 
-def _reference_tables(refs: Sequence[Sequence[str]], max_n: int):
+def _reference_tables(refs: Sequence[Sequence[str]]):
     """The token vocabulary of ``refs`` and, per n-gram order present in
     them, the sorted n-gram keys and the largest count of each n-gram in
     any one reference (its clip count)."""
@@ -89,7 +84,7 @@ def _reference_tables(refs: Sequence[Sequence[str]], max_n: int):
     tokens, owner = _token_ids(refs, vocab)
     orders = []
     keys, table = tokens, np.arange(len(vocab))
-    for n in range(max_n):
+    for n in range(MAX_N):
         if n:
             keys = _gram_keys(ids, tokens, n, len(vocab))
             table = np.unique(keys[keys >= 0])
@@ -114,12 +109,11 @@ class ReferenceStats:
     list of one.
     """
 
-    def __init__(self, refs: Sequence[Sequence[str]], max_n: int = DEFAULT_MAX_N):
+    def __init__(self, refs: Sequence[Sequence[str]]):
         if not refs:
             raise ValueError("at least one reference is required")
-        self.max_n = max_n
         self.lengths = [len(r) for r in refs]
-        self._vocab, self._orders = _reference_tables(refs, max_n)
+        self._vocab, self._orders = _reference_tables(refs)
         self._memo: dict[tuple[str, ...], BleuStats] = {}
         self._bleu: dict[BleuStats, float] = {}
 
@@ -143,7 +137,7 @@ class ReferenceStats:
         if not hyps:
             return
         tokens, owner = _token_ids(hyps, self._vocab)
-        match = np.zeros((len(hyps), self.max_n), dtype=np.int64)
+        match = np.zeros((len(hyps), MAX_N), dtype=np.int64)
         ids = tokens
         for n, (table, clip) in enumerate(self._orders):
             if n:
@@ -156,7 +150,7 @@ class ReferenceStats:
         lengths = [len(key) for key in hyps]
         # the reference length closest to the hypothesis's, ties to the shorter
         ref_len = {n: min(self.lengths, key=lambda r: (abs(r - n), r)) for n in set(lengths)}
-        total = np.maximum(np.array(lengths)[:, None] - np.arange(self.max_n), 0)
+        total = np.maximum(np.array(lengths)[:, None] - np.arange(MAX_N), 0)
         for key, m, t, n in zip(hyps, match.tolist(), total.tolist(), lengths):
             stats = self._memo[key] = BleuStats(tuple(m), tuple(t), n, ref_len[n])
             if stats not in self._bleu:
@@ -175,7 +169,7 @@ def sentence_bleu(stats: BleuStats) -> float:
         return 0.0
     log_prec = sum(
         math.log((m + 1) / (t + 1)) for m, t in zip(stats.match, stats.total)
-    ) / stats.max_n
+    ) / MAX_N
     return _brevity_penalty(stats.hyp_len, stats.ref_len) * math.exp(log_prec)
 
 
@@ -187,7 +181,7 @@ def corpus_bleu(stats: BleuStats) -> float:
         return 0.0
     log_prec = sum(
         math.log(m / t) for m, t in zip(stats.match, stats.total)
-    ) / stats.max_n
+    ) / MAX_N
     return _brevity_penalty(stats.hyp_len, stats.ref_len) * math.exp(log_prec)
 
 

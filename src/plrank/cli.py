@@ -131,7 +131,7 @@ def _load_decoder_spec(path: str, fallback_seed: int) -> SyntheticDecoderSpec:
     """Read a key=value spec file (num_sentences, feature_dim, noise_scale,
     seed, ref_len, features_per_hyp); blank lines and #-comments ignored."""
     keys: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -11,10 +11,12 @@ references:
 
     <sent_id> ||| <token> <token> ...
 
-A weights file holds one ``<feature_name>\\t<value>`` per line, sorted by
-feature name.  Floats are always rendered with :func:`format_float`, the
-shortest decimal string that parses back to the same double, so parsing
-followed by writing reproduces a canonically formatted file byte for byte.
+Lines end at ``\\n`` only, and a sentence id is written in canonical form
+(no sign, no leading zero).  A weights file holds one
+``<feature_name>\\t<value>`` per line, sorted by feature name.  Floats are
+always rendered with :func:`format_float`, the shortest decimal string that
+parses back to the same double, so parsing followed by writing reproduces a
+canonically formatted file byte for byte.
 """
 
 from __future__ import annotations
@@ -140,6 +142,8 @@ def _parse_sent_id(text: str, line_no: int) -> int:
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ParseError(line_no, f"sentence id {text!r} is not an integer")
     sent_id = int(text)
+    if str(sent_id) != text:
+        raise ParseError(line_no, f"sentence id {text!r} is not in canonical form")
     if sent_id < 0:
         raise ParseError(line_no, f"sentence id {sent_id} is negative")
     return sent_id
@@ -158,20 +162,20 @@ def _parse_number(text: str, line_no: int, what: str) -> float:
     return value
 
 
-def _lines(stream: str | Iterable[str]) -> Iterable[str]:
-    return stream.splitlines() if isinstance(stream, str) else stream
+def _lines(text: str) -> list[str]:
+    # str.splitlines would also end a line at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
-def _records(
-    stream: str | Iterable[str], counts: tuple[int, ...]
-) -> Iterator[tuple[int, int, list[str]]]:
+def _records(text: str, counts: tuple[int, ...]) -> Iterator[tuple[int, int, list[str]]]:
     """Yield ``(line_no, sent_id, fields)`` per ``|||`` line, fields stripped.
 
     Raises ParseError on a line whose field count is not in ``counts`` and
-    on a sentence id that is not a non-negative integer.
+    on a sentence id that is not a canonical non-negative integer.
     """
     expected = " or ".join(map(str, counts))
-    for line_no, raw in enumerate(_lines(stream), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         fields = [f.strip() for f in raw.split("|||")]
         if len(fields) not in counts:
             raise ParseError(line_no, f"expected {expected} '|||'-separated fields, got {len(fields)}")
@@ -193,13 +197,13 @@ def _hypothesis(line_no: int, fields: Sequence[str]) -> Hypothesis:
     return Hypothesis(tokens, features, _parse_number(fields[3], line_no, "decoder score"))
 
 
-def parse_nbest(stream: str | Iterable[str]) -> Corpus:
+def parse_nbest(text: str) -> Corpus:
     """Parse N-best lines into a Corpus.  Raises ParseError (with the line
     number) on a line without four ``|||`` fields or with a malformed hypothesis."""
     order: list[int] = []
     grouped: dict[int, list[Hypothesis]] = {}
     index: dict[str, int] = {}
-    for line_no, sent_id, fields in _records(stream, (4,)):
+    for line_no, sent_id, fields in _records(text, (4,)):
         hyp = _hypothesis(line_no, fields)
         for name in hyp.features:
             if name not in index:
@@ -224,13 +228,13 @@ def write_nbest(corpus: Corpus) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
+def parse_refs(text: str) -> ReferenceSet:
     """Parse reference lines (``sent_id ||| tokens``) into a ReferenceSet.
 
     A line with no reference tokens is a ParseError.
     """
     by_sent: dict[int, list[tuple[str, ...]]] = {}
-    for line_no, sent_id, fields in _records(stream, (2,)):
+    for line_no, sent_id, fields in _records(text, (2,)):
         tokens = tuple(fields[1].split())
         if not tokens:
             raise ParseError(line_no, f"empty reference for sentence {sent_id}")
@@ -238,12 +242,12 @@ def parse_refs(stream: str | Iterable[str]) -> ReferenceSet:
     return ReferenceSet({sid: tuple(refs) for sid, refs in by_sent.items()})
 
 
-def parse_first_hypotheses(stream: str | Iterable[str]) -> dict[int, tuple[str, ...]]:
+def parse_first_hypotheses(text: str) -> dict[int, tuple[str, ...]]:
     """The first hypothesis's tokens per sentence, in first-occurrence order,
     from N-best lines or ``sent_id ||| tokens`` lines (or a mix).  Every
     N-best line is checked as :func:`parse_nbest` checks it."""
     first: dict[int, tuple[str, ...]] = {}
-    for line_no, sent_id, fields in _records(stream, (2, 4)):
+    for line_no, sent_id, fields in _records(text, (2, 4)):
         tokens = _hypothesis(line_no, fields).tokens if len(fields) == 4 else tuple(fields[1].split())
         first.setdefault(sent_id, tokens)
     return first
@@ -308,11 +312,10 @@ def model_scores(matrix: sp.csr_matrix, w: np.ndarray, sent_id: int) -> np.ndarr
     return scores
 
 
-def parse_weights(stream: str | Iterable[str]) -> dict[str, float]:
+def parse_weights(text: str) -> dict[str, float]:
     """Read a tab-separated weights file into a name -> value mapping."""
     named: dict[str, float] = {}
-    for line_no, raw in enumerate(_lines(stream), start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(_lines(text), start=1):
         name, tab, value = line.partition("\t")
         if not tab or not name:
             raise ParseError(line_no, "expected <feature_name>\\t<value>")

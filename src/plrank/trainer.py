@@ -22,6 +22,8 @@ from .rng import substream
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+# objective evaluations allowed to a line search's bracketing and to its zoom
+LINE_SEARCH_EVALS = 25
 # curvature pairs kept by the two-loop recursion
 LBFGS_MEMORY = 10
 RICHNESS_THRESHOLD = 5.0
@@ -70,7 +72,10 @@ class TrainReport:
     final_weights: np.ndarray
     history: list[tuple[int, float, float]]
     converged: bool
-    iterations_used: int
+
+    @property
+    def iterations_used(self) -> int:
+        return self.history[-1][0]
 
     @property
     def final_objective(self) -> float:
@@ -135,16 +140,16 @@ def _cubic_step(a, fa, da, b, fb, db) -> float:
     return c
 
 
-def _wolfe_search(phi, phi0: float, dphi0: float, max_evals: int = 25):
+def _wolfe_search(phi, phi0: float, dphi0: float):
     """Strong-Wolfe line search (bracket then zoom), initial step 1.
 
     ``phi(alpha)`` returns (value, slope, payload) of the negated objective
     along the ray.  Returns the accepted payload or None on failure.
     """
 
-    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, budget):
+    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
         best = None
-        for _ in range(budget):
+        for _ in range(LINE_SEARCH_EVALS):
             alpha = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
             if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
                 return best
@@ -162,14 +167,14 @@ def _wolfe_search(phi, phi0: float, dphi0: float, max_evals: int = 25):
 
     a_prev, f_prev, d_prev = 0.0, phi0, dphi0
     alpha = 1.0
-    for i in range(max_evals):
+    for i in range(LINE_SEARCH_EVALS):
         f_a, d_a, payload = phi(alpha)
         if f_a > phi0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
-            return zoom(a_prev, f_prev, d_prev, alpha, f_a, d_a, max_evals)
+            return zoom(a_prev, f_prev, d_prev, alpha, f_a, d_a)
         if abs(d_a) <= -WOLFE_C2 * dphi0:
             return payload
         if d_a >= 0:
-            return zoom(alpha, f_a, d_a, a_prev, f_prev, d_prev, max_evals)
+            return zoom(alpha, f_a, d_a, a_prev, f_prev, d_prev)
         a_prev, f_prev, d_prev = alpha, f_a, d_a
         alpha *= 2.0
     return None
@@ -220,7 +225,7 @@ def lbfgs_maximize(
         history.append((iteration, f, _inf_norm(g)))
         converged = _inf_norm(g) <= cfg.grad_tol
 
-    return TrainReport(w, history, converged, iteration)
+    return TrainReport(w, history, converged)
 
 
 def _resample_indices(
@@ -237,24 +242,21 @@ def _resample_indices(
     scores = model_scores(matrix, w, sent_id)
     rng = substream(rng_seed, RESAMPLE_PURPOSE, sent_id)
     take = m // 3
-    descending = sorted(range(n), key=lambda i: (-bleus[i], i))
-    ascending = sorted(range(n), key=lambda i: (bleus[i], i))
-    top = descending[:take]
-    chosen = set(top)
-    bottom = [i for i in ascending if i not in chosen][:take]
-    chosen.update(bottom)
-    pool = [i for i in range(n) if i not in chosen]
-    draws = m - 2 * take
-    # sequential draws without replacement, proportional to exp(score)
-    weight = np.exp(scores[pool] - scores[pool].max())
-    picked: list[int] = []
-    for _ in range(draws):
-        p = weight / weight.sum()
-        j = int(rng.choice(len(pool), p=p))
-        picked.append(pool.pop(j))
-        weight = np.delete(weight, j)
-    chosen.update(picked)
-    return np.array(sorted(chosen))
+    # the best and then the worst by BLEU, ties to the lower index
+    keep = np.zeros(n, dtype=bool)
+    keep[np.argsort(-bleus, kind="stable")[:take]] = True
+    ascending = np.argsort(bleus, kind="stable")
+    keep[ascending[~keep[ascending]][:take]] = True
+    pool = np.flatnonzero(~keep)
+    # sequential draws without replacement, proportional to exp(score); each
+    # draw weighs the remaining pool against its own maximum, so the largest
+    # weight is 1 and the others cannot all underflow to a zero sum
+    for _ in range(m - 2 * take):
+        weight = np.exp(scores[pool] - scores[pool].max())
+        j = rng.choice(len(pool), p=weight / weight.sum())
+        keep[pool[j]] = True
+        pool = np.delete(pool, j)
+    return np.flatnonzero(keep)
 
 
 def resample(

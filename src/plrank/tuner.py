@@ -15,7 +15,7 @@ model, so BLEU correlates with the planted score by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -68,12 +68,12 @@ class RoundRecord:
 class SyntheticDecoderSpec:
     """Generator settings for the synthetic decoder.
 
-    ``latent_weights`` is the planted model; when omitted it is drawn
-    standard-normal from ``seed``.  Each hypothesis activates
-    ``features_per_hyp`` random features with standard-normal values, and
-    its token sequence copies a reference prefix whose length is monotone
-    in the rank of ``latent . h + noise_scale * eps`` within the list, so
-    longer prefixes (higher BLEU) mean higher planted score.
+    ``latent_weights`` is the planted model, drawn standard-normal from
+    ``seed``.  Each hypothesis activates ``features_per_hyp`` random
+    features with standard-normal values, and its token sequence copies a
+    reference prefix whose length is monotone in the rank of
+    ``latent . h + noise_scale * eps`` within the list, so longer prefixes
+    (higher BLEU) mean higher planted score.
     """
 
     num_sentences: int
@@ -82,7 +82,7 @@ class SyntheticDecoderSpec:
     seed: int = 0
     ref_len: int = 20
     features_per_hyp: int = 8
-    latent_weights: np.ndarray | None = None
+    latent_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.num_sentences < 1:
@@ -95,12 +95,7 @@ class SyntheticDecoderSpec:
             raise ValueError(f"ref_len must be >= 1, got {self.ref_len}")
         if not 1 <= self.features_per_hyp <= self.feature_dim:
             raise ValueError("features_per_hyp must be in [1, feature_dim]")
-        if self.latent_weights is None:
-            self.latent_weights = substream(self.seed, "latent").standard_normal(self.feature_dim)
-        else:
-            self.latent_weights = np.asarray(self.latent_weights, dtype=float)
-            if self.latent_weights.shape != (self.feature_dim,):
-                raise ValueError("latent_weights must have length feature_dim")
+        self.latent_weights = substream(self.seed, "latent").standard_normal(self.feature_dim)
 
 
 def synthetic_references(spec: SyntheticDecoderSpec) -> ReferenceSet:

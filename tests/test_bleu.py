@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrank.bleu import (
+    MAX_N,
     BleuStats,
     ReferenceStats,
     corpus_bleu,
@@ -104,36 +105,36 @@ def sentences(vocab, min_size=0):
 
 @st.composite
 def scoring_cases(draw):
-    """(hypotheses, references, max_n) over a 3-6 word vocabulary, so
+    """(hypotheses, references) over a 3-6 word vocabulary, so
     n-grams repeat and clip often; the empty hypothesis is always present."""
     vocab = [f"w{i}" for i in range(draw(st.integers(3, 6)))]
     refs = draw(st.lists(sentences(vocab, min_size=1), min_size=1, max_size=3))
     hyps = draw(st.lists(sentences(vocab), min_size=1, max_size=6))
-    return [(), *hyps], refs, draw(st.integers(1, 4))
+    return [(), *hyps], refs
 
 
 @st.composite
 def scoring_lists(draw):
-    """(hypotheses scored first, one at a time; a list; references; max_n).
+    """(hypotheses scored first, one at a time; a list; references).
     The list holds the empty hypothesis, one whose every token is out of
     the references' vocabulary, and one hypothesis twice; the first draw
     turns part of it into memo hits."""
-    hyps, refs, max_n = draw(scoring_cases())
+    hyps, refs = draw(scoring_cases())
     out_of_vocab = draw(sentences(["u0", "u1"], min_size=1))
     lst = draw(st.permutations([*hyps, out_of_vocab, hyps[-1]]))
-    return draw(st.lists(st.sampled_from(lst), max_size=3)), lst, refs, max_n
+    return draw(st.lists(st.sampled_from(lst), max_size=3)), lst, refs
 
 
 class TestReferenceStatsProperties:
     @settings(max_examples=60, deadline=None)
     @given(scoring_lists())
     def test_list_scores_match_nested_loop_reference(self, case):
-        seen, lst, refs, max_n = case
-        profile = ReferenceStats(refs, max_n)
+        seen, lst, refs = case
+        profile = ReferenceStats(refs)
         for hyp in seen:
             profile.stats_for(hyp)
         bleus = profile.sentence_bleus(lst)
-        expected = [slow_stats(hyp, refs, max_n) for hyp in lst]
+        expected = [slow_stats(hyp, refs, MAX_N) for hyp in lst]
         got = [profile.stats_for(hyp) for hyp in lst]
         assert got == expected
         assert all(type(x) is int for s in got for x in (*s.match, *s.total))
@@ -151,20 +152,20 @@ class TestReferenceStatsProperties:
     @settings(max_examples=60, deadline=None)
     @given(scoring_cases())
     def test_stats_match_nested_loop_reference(self, case):
-        hyps, refs, max_n = case
-        profile = ReferenceStats(refs, max_n)
+        hyps, refs = case
+        profile = ReferenceStats(refs)
         for hyp in hyps:
-            assert profile.stats_for(hyp) == slow_stats(hyp, refs, max_n)
+            assert profile.stats_for(hyp) == slow_stats(hyp, refs, MAX_N)
 
     @settings(max_examples=30, deadline=None)
     @given(scoring_cases())
     def test_memo_hit_equals_fresh_profile(self, case):
-        hyps, refs, max_n = case
-        shared = ReferenceStats(refs, max_n)
+        hyps, refs = case
+        shared = ReferenceStats(refs)
         first = [shared.stats_for(h) for h in hyps]
         # a second pass is served from the memo, also for list-typed tokens
         again = [shared.stats_for(list(h)) for h in reversed(hyps)][::-1]
-        fresh = [ReferenceStats(refs, max_n).stats_for(h) for h in hyps]
+        fresh = [ReferenceStats(refs).stats_for(h) for h in hyps]
         assert first == again == fresh
         assert all(a is b for a, b in zip(first, again))
 

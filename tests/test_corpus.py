@@ -106,15 +106,31 @@ class TestParseNbest:
             (parse_nbest, "0 ||| a ||| f=1_0.5 ||| 0.0\n", "feature 'f' value '1_0.5' is not a number"),
             (parse_nbest, "0 ||| a ||| f=1.0 ||| \u0663\n", "decoder score '\u0663' is not a number"),
             (parse_weights, "f\t1_0\n", "weight 'f' '1_0' is not a number"),
+            (parse_nbest, "007 ||| a ||| f=1.0 ||| 0.0\n", "sentence id '007' is not in canonical form"),
+            (parse_nbest, "-0 ||| a ||| f=1.0 ||| 0.0\n", "sentence id '-0' is not in canonical form"),
+            (parse_refs, "007 ||| a\n", "sentence id '007' is not in canonical form"),
+            (parse_refs, "-0 ||| a\n", "sentence id '-0' is not in canonical form"),
         ],
         ids=["underscore-id", "plus-id", "arabic-indic-id", "arabic-indic-ref-id",
-             "underscore-value", "arabic-indic-score", "underscore-weight"],
+             "underscore-value", "arabic-indic-score", "underscore-weight",
+             "leading-zero-id", "minus-zero-id", "leading-zero-ref-id", "minus-zero-ref-id"],
     )
     def test_ids_and_numbers_are_plain_ascii(self, parse, text, message):
-        # int() and float() would read these as 10, 1, 3, 3, 10.5, 3 and 10
+        # int() and float() would read these as 10, 1, 3, 3, 10.5, 3, 10, 7, 0, 7 and 0
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"line 1: {message}"
+
+    def test_lines_end_only_at_newline(self):
+        # str.splitlines would also break at the form feed and at U+2028
+        with pytest.raises(ParseError) as err:
+            parse_refs("0 ||| a b\f1 ||| c d\n")
+        assert str(err.value) == "line 1: expected 2 '|||'-separated fields, got 3"
+        corpus = parse_nbest("0 ||| a\u2028b ||| f=1.0 ||| 0.0\n")
+        assert corpus.lists[0].hypotheses[0].tokens == ("a", "b")
+        with pytest.raises(ParseError) as err:
+            parse_nbest("0 ||| a\u2028b ||| f=1.0 ||| 0.0\n0 ||| c\n")
+        assert err.value.line_no == 2
 
     def test_error_line_number_points_at_offender(self):
         text = SAMPLE + "9 ||| z ||| broken ||| 0.0\n"

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrank.bleu import ReferenceStats, sentence_bleu
 from plrank.corpus import (
@@ -196,6 +198,42 @@ class TestResample:
         out, _ = self.call(31, 30, bleus=np.zeros(31))
         assert len(out.hypotheses) == 30
         assert len({h.tokens for h in out.hypotheses}) == 30
+
+    def test_score_spread_past_exp_underflow_keeps_drawing(self):
+        # after t2 (score 0) is drawn, exp(-1000) and exp(-2000) both underflow
+        # when weighted against the pool's first maximum; t3 must still be drawn
+        values = [0, 0, 0, -1000, -2000, 0, 0]
+        hyps = (Hypothesis((f"t{i}",), {"f": float(v)}, 0.0) for i, v in enumerate(values))
+        lst = NBestList(0, tuple(hyps))
+        bleus = [1.0, 0.9, 0.5, 0.5, 0.5, 0.1, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = resample(lst, bleus, 6, np.ones(1), {"f": 0}, 0)
+        assert [h.tokens[0] for h in out.hypotheses] == ["t0", "t1", "t2", "t3", "t5", "t6"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_finite_score_spread_keeps_m_with_both_extremes(self, data):
+        n = data.draw(st.integers(4, 30), label="n")
+        m = data.draw(st.integers(3, n - 1), label="m")
+        spread = data.draw(st.floats(0.0, 1e4), label="spread")
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="values")
+        bleus = data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n), label="bleus"
+        )
+        seed = data.draw(st.integers(0, 99), label="seed")
+        hyps = (Hypothesis((f"t{i}",), {"f": spread * v}, 0.0) for i, v in enumerate(values))
+        lst = NBestList(3, tuple(hyps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = resample(lst, bleus, m, np.ones(1), {"f": 0}, seed)
+        kept = [int(h.tokens[0][1:]) for h in out.hypotheses]
+        assert len(kept) == m and kept == sorted(set(kept))
+        # ties go to the lower index, and the worst are taken from what the best left
+        take = m // 3
+        best = sorted(range(n), key=lambda i: (-bleus[i], i))[:take]
+        worst = [i for i in sorted(range(n), key=lambda i: (bleus[i], i)) if i not in best][:take]
+        assert set(best) | set(worst) <= set(kept)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_build_instances_keeps_what_resample_keeps(self, seed):
