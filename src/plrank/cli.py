@@ -12,16 +12,12 @@ Exit codes: 0 on success, 1 on data or I/O errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
-    Corpus,
     DataError,
-    ParseError,
-    ReferenceSet,
     feature_matrix,
     format_float,
     format_weights,
@@ -33,31 +29,23 @@ from .corpus import (
     parse_weights,
     weights_vector,
 )
-from .trainer import RICHNESS_THRESHOLD, TrainConfig, TrainReport, richness, train
-from .tuner import SyntheticDecoder, SyntheticDecoderSpec, TuneConfig, rerank, run_tuning
+from .trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
+from .tuner import SyntheticDecoder, TuneConfig, parse_spec, rerank, run_tuning
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+# files are UTF-8 bytes whatever the locale, and only the parsers split lines:
+# a text-mode file would also end a line at a lone \r
+def _read_utf8(path: str) -> str:
+    return Path(path).read_bytes().decode("utf-8")
 
 
-def _read_nbest(path: str) -> Corpus:
-    return parse_nbest(_read_text(path))
-
-
-def _read_refs(path: str) -> ReferenceSet:
-    return parse_refs(_read_text(path))
+def _write_utf8(path: str, text: str) -> None:
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _write_history(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _train_history_rows(report: TrainReport) -> list[tuple]:
-    return [(it, format_float(obj), format_float(gn)) for it, obj, gn in report.history]
+    # CSV as csv.writer writes it: no field needs quoting, lines end in \r\n
+    _write_utf8(path, "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows)))
 
 
 def _check_at_least_one(name: str, value: int) -> None:
@@ -82,12 +70,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    corpus = _read_nbest(args.nbest)
-    refs = _read_refs(args.refs)
-    report = train(corpus, refs, cfg)
-    Path(args.out).write_text(format_weights(corpus.feature_index, report.final_weights))
+    corpus = parse_nbest(_read_utf8(args.nbest))
+    report = train(corpus, parse_refs(_read_utf8(args.refs)), cfg)
+    _write_utf8(args.out, format_weights(corpus.feature_index, report.final_weights))
     if args.history:
-        _write_history(args.history, ["iteration", "objective", "grad_norm"], _train_history_rows(report))
+        rows = [(it, format_float(obj), format_float(gn)) for it, obj, gn in report.history]
+        _write_history(args.history, ["iteration", "objective", "grad_norm"], rows)
     print(f"objective={format_float(report.final_objective)} iterations={report.iterations_used}")
     return 0
 
@@ -96,8 +84,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     if args.top < 1:
         print(f"usage error: --top must be >= 1, got {args.top}", file=sys.stderr)
         return 2
-    corpus = _read_nbest(args.nbest)
-    named = parse_weights(_read_text(args.weights))
+    corpus = parse_nbest(_read_utf8(args.nbest))
+    named = parse_weights(_read_utf8(args.weights))
     w, unknown = weights_vector(named, corpus.feature_index)
     for name in unknown:
         print(f"warning: weight feature {name!r} not in corpus; ignored", file=sys.stderr)
@@ -109,8 +97,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    hyps = parse_first_hypotheses(_read_text(args.hyp))
-    refs = _read_refs(args.refs)
+    hyps = parse_first_hypotheses(_read_utf8(args.hyp))
+    refs = parse_refs(_read_utf8(args.refs))
     if not hyps:
         raise DataError("no hypotheses to evaluate")
     print(f"BLEU = {refs.bleu(hyps.items()):.2f}")
@@ -118,52 +106,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_richness(args: argparse.Namespace) -> int:
-    report = richness(_read_nbest(args.nbest))
+    report = richness(parse_nbest(_read_utf8(args.nbest)))
     print(f"features={report.feature_count} avg_list={report.avg_list_size:.2f} r={report.r:.2f}")
     if report.r < RICHNESS_THRESHOLD:
         print(f"resample recommended: r < {RICHNESS_THRESHOLD:g}")
     else:
         print("no resampling needed")
     return 0
-
-
-def _load_decoder_spec(path: str, fallback_seed: int) -> SyntheticDecoderSpec:
-    """Read a key=value spec file (num_sentences, feature_dim, noise_scale,
-    seed, ref_len, features_per_hyp); blank lines and #-comments ignored."""
-    keys: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, eq, value = line.partition("=")
-        name = name.strip()
-        if not eq or not name:
-            raise ParseError(line_no, f"expected <key>=<value>, got {line!r}")
-        if name in keys:
-            raise ParseError(line_no, f"duplicate key {name!r}")
-        keys[name] = value.strip()
-    ints = {"num_sentences", "feature_dim", "seed", "ref_len", "features_per_hyp"}
-    kwargs: dict = {"seed": fallback_seed}
-    for name, value in keys.items():
-        if name in ints:
-            try:
-                kwargs[name] = int(value)
-            except ValueError:
-                raise DataError(f"spec key {name!r} needs an integer, got {value!r}") from None
-        elif name == "noise_scale":
-            try:
-                kwargs[name] = float(value)
-            except ValueError:
-                raise DataError(f"spec key {name!r} needs a number, got {value!r}") from None
-        else:
-            raise DataError(f"unknown spec key {name!r}")
-    try:
-        return SyntheticDecoderSpec(**kwargs)
-    except TypeError:
-        missing = {"num_sentences", "feature_dim"} - set(kwargs)
-        raise DataError(f"spec file missing keys: {', '.join(sorted(missing))}") from None
-    except ValueError as err:
-        raise DataError(f"bad spec file: {err}") from None
 
 
 def cmd_tune_sim(args: argparse.Namespace) -> int:
@@ -174,13 +123,10 @@ def cmd_tune_sim(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    spec = _load_decoder_spec(args.spec, fallback_seed=args.seed)
-    refs = _read_refs(args.refs)
-    decoder = SyntheticDecoder(spec, refs, args.per_round)
-    named, records = run_tuning(decoder, refs, cfg)
-    index = {name: i for i, name in enumerate(sorted(named))}
-    values = [named[name] for name in sorted(named)]
-    Path(args.out).write_text(format_weights(index, values))
+    spec = parse_spec(_read_utf8(args.spec), default_seed=args.seed)
+    refs = parse_refs(_read_utf8(args.refs))
+    named, records = run_tuning(SyntheticDecoder(spec, refs, args.per_round), refs, cfg)
+    _write_utf8(args.out, format_weights({n: i for i, n in enumerate(named)}, list(named.values())))
     if args.history:
         rows = [
             (r.round, format_float(r.dev_bleu), format_float(r.objective), r.corpus_size, format_float(r.richness))
@@ -249,7 +195,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DataError, OSError, ValueError) as err:
+    # ParseError and DataError are ValueErrors
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -48,10 +48,13 @@ def _choice_order(perm, n: int, where: str = "") -> tuple[np.ndarray, np.ndarray
     ranks = np.asarray(perm, dtype=np.int64)
     if not 1 <= ranks.size <= n:
         raise ValueError(f"{where}permutation length {ranks.size} out of range for a list of {n}")
-    if ranks.min() < 0 or ranks.max() >= n or np.unique(ranks).size != ranks.size:
+    if ranks.min() < 0 or ranks.max() >= n:
         raise ValueError(f"{where}invalid permutation indices")
-    rest = np.setdiff1d(np.arange(n, dtype=np.int64), ranks)
-    return ranks, np.concatenate([ranks, rest])
+    taken = np.zeros(n, dtype=bool)
+    taken[ranks] = True
+    if np.count_nonzero(taken) != ranks.size:
+        raise ValueError(f"{where}invalid permutation indices")
+    return ranks, np.concatenate([ranks, np.flatnonzero(~taken)])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ model, so BLEU correlates with the planted score by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,6 +25,7 @@ from .corpus import (
     DataError,
     Hypothesis,
     NBestList,
+    ParseError,
     ReferenceSet,
     feature_matrix,
     merge,
@@ -96,6 +97,49 @@ class SyntheticDecoderSpec:
         if not 1 <= self.features_per_hyp <= self.feature_dim:
             raise ValueError("features_per_hyp must be in [1, feature_dim]")
         self.latent_weights = substream(self.seed, "latent").standard_normal(self.feature_dim)
+
+
+# the spec file's keys and the type each value is read as
+SPEC_KEYS: dict[str, type] = dict(
+    num_sentences=int, feature_dim=int, noise_scale=float, seed=int, ref_len=int, features_per_hyp=int
+)
+
+
+def parse_spec(text: str, default_seed: int) -> SyntheticDecoderSpec:
+    """Read a spec file: ``<key>=<value>`` lines over :data:`SPEC_KEYS`, blank
+    lines and #-comments ignored, ``seed`` defaulting to ``default_seed``.
+    Errors come in line order (ParseError on a line without ``=`` or with a
+    repeated key, DataError on an unknown key or a value that is not an ASCII
+    number without ``_``), then DataError on a missing key or a bad setting."""
+    kwargs: dict = {}
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or not name:
+            raise ParseError(line_no, f"expected <key>=<value>, got {line!r}")
+        if name in kwargs:
+            raise ParseError(line_no, f"duplicate key {name!r}")
+        kind = SPEC_KEYS.get(name)
+        if kind is None:
+            raise DataError(f"unknown spec key {name!r}")
+        try:
+            # int() and float() would also read "1_0" and non-ASCII digits
+            if not value.isascii() or "_" in value:
+                raise ValueError
+            kwargs[name] = kind(value)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise DataError(f"spec key {name!r} needs {noun}, got {value!r}") from None
+    required = (f.name for f in fields(SyntheticDecoderSpec) if f.init and f.default is MISSING)
+    missing = sorted(set(required) - kwargs.keys())
+    if missing:
+        raise DataError(f"spec file missing keys: {', '.join(missing)}")
+    try:
+        return SyntheticDecoderSpec(**{"seed": default_seed, **kwargs})
+    except ValueError as err:
+        raise DataError(f"bad spec file: {err}") from None
 
 
 def synthetic_references(spec: SyntheticDecoderSpec) -> ReferenceSet:

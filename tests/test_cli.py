@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -186,6 +189,24 @@ class TestTrain:
         assert stderr == f"usage error: l2_scale must be finite and >= 0, got {l2}\n"
         assert not out.exists()
 
+    def test_weights_are_utf8_whatever_the_locale(self, workdir, capsys):
+        # under the C locale a text-mode file would be ASCII and could not hold "tm€"
+        (workdir / "nbest.txt").write_bytes(NBEST.replace("tm=", "tm\u20ac=").encode("utf-8"))
+        argv = ["train", "--nbest", workdir / "nbest.txt", "--refs", workdir / "refs.txt", "--k", 2]
+        code, _, _ = run(capsys, *argv, "--out", workdir / "w-default.txt")
+        assert code == 0
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        result = subprocess.run(
+            [sys.executable, "-m", "plrank.cli", *map(str, argv), "--out", str(workdir / "w-c.txt")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        weights = (workdir / "w-c.txt").read_bytes()
+        assert weights == (workdir / "w-default.txt").read_bytes()
+        assert b"tm\xe2\x82\xac\t" in weights
+
 
 class TestRerank:
     def test_scores_are_dot_products(self, workdir, capsys):
@@ -259,6 +280,17 @@ class TestRerank:
         assert code == 1
         assert stdout == ""
         assert stderr == "error: sentence 0: model score is not finite\n"
+
+    def test_lone_carriage_return_does_not_end_a_line(self, workdir, capsys):
+        # a text-mode read would split this line in two at the \r
+        (workdir / "nbest.txt").write_bytes(b"0 ||| a ||| f=1 ||| 0\r1 ||| b ||| f=2 ||| 0\n")
+        (workdir / "weights.txt").write_bytes(b"f\t1\n")
+        code, stdout, stderr = run(
+            capsys, "rerank", "--nbest", workdir / "nbest.txt", "--weights", workdir / "weights.txt"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 1: expected 4 '|||'-separated fields, got 7\n"
 
 
 class TestEvaluate:
@@ -372,6 +404,25 @@ class TestEvaluate:
         assert code == 1
         assert stdout == ""
         assert stderr == "error: no hypotheses to evaluate\n"
+
+    def test_lone_carriage_return_does_not_end_a_reference_line(self, evaldir, capsys):
+        # a text-mode read would score this as two sentences, BLEU = 0.00
+        (evaldir / "refs.txt").write_bytes(b"0 ||| a b\r1 ||| c d\n")
+        hyp = evaldir / "hyp.txt"
+        hyp.write_bytes(b"0 ||| a b\n1 ||| c d\n")
+        code, stdout, stderr = run(capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 1: expected 2 '|||'-separated fields, got 3\n"
+
+    def test_crlf_files_score_as_lf_files(self, evaldir, capsys):
+        hyp = evaldir / "hyp.txt"
+        hyp.write_bytes(b"0 ||| a b c d x ||| f=1 ||| 0\r\n1 ||| v w x y z\r\n")
+        (evaldir / "crlf-refs.txt").write_bytes(b"0 ||| a b c d e\r\n1 ||| v w x y z\r\n")
+        code, stdout, _ = run(capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "crlf-refs.txt")
+        hyp.write_bytes(b"0 ||| a b c d x ||| f=1 ||| 0\n1 ||| v w x y z\n")
+        assert code == 0
+        assert run(capsys, "evaluate", "--hyp", hyp, "--refs", evaldir / "refs.txt") == (0, stdout, "")
 
 
 class TestRichness:
@@ -547,6 +598,29 @@ class TestTuneSim:
         assert code == 1
         assert stdout == "" and weights == b"" and history == b""
         assert stderr == "error: line 5: duplicate key 'seed'\n"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("feature_dim=1_0", "spec key 'feature_dim' needs an integer, got '1_0'"),
+            ("feature_dim=12\nref_len=\u0663", "spec key 'ref_len' needs an integer, got '\u0663'"),
+            ("feature_dim=12\nnoise_scale=1_0.5", "spec key 'noise_scale' needs a number, got '1_0.5'"),
+        ],
+        ids=["underscore-int", "arabic-indic-int", "underscore-float"],
+    )
+    def test_spec_values_are_plain_ascii_numbers(self, simdir, capsys, lines, message):
+        # int() and float() would read these as 10, 3 and 10.5
+        (simdir / "spec.txt").write_bytes(f"num_sentences=4\n{lines}\n".encode("utf-8"))
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
+        assert code == 1
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == f"error: {message}\n"
+
+    def test_spec_errors_come_in_line_order(self, simdir, capsys):
+        (simdir / "spec.txt").write_text("num_sentences=4\nwat=1\nseed=3\nseed=4\nfeature_dim=x\n")
+        code, _, _, _, stderr = run_tune(capsys, simdir, "a")
+        assert code == 1
+        assert stderr == "error: unknown spec key 'wat'\n"
 
 
 # small, mostly well-formed files with extreme numbers; at most one line in

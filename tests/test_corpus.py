@@ -14,12 +14,14 @@ from plrank.corpus import (
     feature_matrix,
     format_weights,
     merge,
+    parse_first_hypotheses,
     parse_nbest,
     parse_refs,
     parse_weights,
     weights_vector,
     write_nbest,
 )
+from plrank.tuner import SPEC_KEYS, parse_spec
 
 SAMPLE = (
     "0 ||| der mann ||| lm=-2.5 tm=0.4 ||| -1.25\n"
@@ -322,3 +324,54 @@ class TestWeightsFiles:
             parse_weights("lm\tx\n")
         with pytest.raises(ParseError):
             parse_weights("lm\t1.0\nlm\t2.0\n")
+
+
+# well-formed lines of every input format, for the CRLF property below
+CRLF_ID = st.integers(0, 3).map(str)
+CRLF_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+CRLF_TOKENS = st.lists(st.text(FORMAT_CHARS, min_size=1, max_size=3), max_size=3).map(" ".join)
+CRLF_NAME = st.text(FORMAT_CHARS.filter(lambda c: c != "="), min_size=1, max_size=3)
+CRLF_NBEST_LINE = st.builds(
+    lambda sid, tokens, feats, score: f"{sid} ||| {tokens} ||| {feats} ||| {score}",
+    CRLF_ID,
+    CRLF_TOKENS,
+    st.dictionaries(CRLF_NAME, CRLF_NUMBER, max_size=3).map(
+        lambda d: " ".join(f"{k}={v}" for k, v in d.items())
+    ),
+    CRLF_NUMBER,
+)
+CRLF_REFS_LINE = st.builds("{} ||| {} {}".format, CRLF_ID, st.text(FORMAT_CHARS, min_size=1), CRLF_TOKENS)
+CRLF_SPEC = st.fixed_dictionaries(
+    {"num_sentences": st.integers(1, 3), "feature_dim": st.integers(8, 12)},
+    optional={
+        "noise_scale": st.floats(0, 10),
+        "seed": st.integers(-5, 2**70),
+        "ref_len": st.integers(1, 30),
+        "features_per_hyp": st.integers(1, 8),
+    },
+).map(lambda d: [f"{k} = {v}" for k, v in d.items()] + ["", "# comment"])
+
+
+def lf_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(CRLF_NBEST_LINE, max_size=4),
+    st.lists(CRLF_REFS_LINE, max_size=4),
+    st.dictionaries(CRLF_NAME, CRLF_NUMBER, max_size=4).map(lambda d: [f"{k}\t{v}" for k, v in d.items()]),
+    st.lists(st.one_of(CRLF_NBEST_LINE, st.builds("{} ||| {}".format, CRLF_ID, CRLF_TOKENS)), max_size=4),
+    CRLF_SPEC,
+)
+def test_crlf_text_parses_as_lf_text(nbest, refs, weights, hyps, spec):
+    # files are read as bytes, so a \r before each \n reaches the parsers,
+    # which must strip it with the field or token it ends
+    cases = [(parse_nbest, nbest), (parse_refs, refs), (parse_weights, weights),
+             (parse_first_hypotheses, hyps)]
+    for parse, lines in cases:
+        text = lf_text(lines)
+        assert parse(text.replace("\n", "\r\n")) == parse(text), parse.__name__
+    text = lf_text(spec)
+    lf, crlf = parse_spec(text, 7), parse_spec(text.replace("\n", "\r\n"), 7)
+    assert {k: getattr(crlf, k) for k in SPEC_KEYS} == {k: getattr(lf, k) for k in SPEC_KEYS}
