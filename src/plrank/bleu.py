@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -55,9 +56,10 @@ def _token_ids(seqs: Sequence[Sequence[str]], vocab: dict[str, int]):
     """The vocabulary ids of ``seqs`` end to end, each sequence followed by
     a -1 separator, and the index of the sequence at each position.  A
     token not in ``vocab`` also gets -1, so no n-gram through it matches."""
-    get = vocab.get
-    tokens = np.array([get(t, -1) for seq in seqs for t in (*seq, None)], dtype=np.int64)
-    owner = np.repeat(np.arange(len(seqs), dtype=np.int64), [len(seq) + 1 for seq in seqs])
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(map(vocab.get, chain.from_iterable(seqs), repeat(-1)), dtype=np.int64, count=lengths.sum())
+    tokens = np.insert(ids, np.cumsum(lengths), -1)
+    owner = np.repeat(np.arange(len(seqs), dtype=np.int64), lengths + 1)
     return tokens, owner
 
 
@@ -106,7 +108,9 @@ class ReferenceStats:
     sentence as long as the set, so each distinct token sequence is
     scored once.  :meth:`sentence_bleus` scores a
     list's new hypotheses in one pass; ``stats_for`` scores a new one as a
-    list of one.
+    list of one.  It also remembers the last list it was given, so a list
+    that extends it, as a tuning pool grows round by round, costs only
+    its new tail.
     """
 
     def __init__(self, refs: Sequence[Sequence[str]]):
@@ -116,6 +120,7 @@ class ReferenceStats:
         self._vocab, self._orders = _reference_tables(refs)
         self._memo: dict[tuple[str, ...], BleuStats] = {}
         self._bleu: dict[BleuStats, float] = {}
+        self._last: tuple[list[tuple[str, ...]], list[float]] = ([], [])
 
     def stats_for(self, hyp_tokens: Sequence[str]) -> BleuStats:
         key = tuple(hyp_tokens)
@@ -126,11 +131,17 @@ class ReferenceStats:
         return stats
 
     def sentence_bleus(self, hyps: Sequence[Sequence[str]]) -> list[float]:
-        """Sentence BLEU of each hypothesis, through ``stats_for``; the
-        ones not scored before are scored first, in one pass."""
+        """Sentence BLEU of each hypothesis.  Past the prefix that repeats
+        the last call's list, each goes through ``stats_for``, and the ones
+        not scored before are scored first, in one pass."""
         keys = [tuple(h) for h in hyps]
-        self._score([k for k in keys if k not in self._memo])
-        return [self._bleu[self.stats_for(k)] for k in keys]
+        last_keys, last_bleus = self._last
+        n = len(last_keys) if keys[: len(last_keys)] == last_keys else 0
+        tail = keys[n:]
+        self._score([k for k in tail if k not in self._memo])
+        bleus = last_bleus[:n] + [self._bleu[self.stats_for(k)] for k in tail]
+        self._last = (keys, bleus)
+        return bleus
 
     def _score(self, hyps: list[tuple[str, ...]]) -> None:
         """Memoize the statistics and sentence BLEU of new hypotheses."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -63,6 +64,10 @@ class Hypothesis:
 class NBestList:
     sent_id: int
     hypotheses: tuple[Hypothesis, ...]
+    # set once the list is known to repeat no token sequence, found so by
+    # :func:`kept_positions` or made so by :func:`dedup` or :func:`merge`,
+    # so it is never searched again
+    _distinct: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -74,21 +79,37 @@ class Corpus:
 
     ``feature_index`` maps each feature name appearing anywhere in the
     corpus to a 0-based dense index, assigned in first-appearance order.
+
+    ``rows`` holds one CSR block per list: row i of ``rows[j]`` is the
+    feature vector of ``lists[j].hypotheses[i]`` over ``feature_index``, its
+    columns in the order of the hypothesis's ``features``, array for array
+    what :func:`feature_matrix` gives for the list.  The blocks are built
+    once, when the corpus is made; :func:`merge` carries them into the
+    merged corpus, and training and reranking read them.  Raises DataError
+    if a hypothesis has a feature that ``feature_index`` lacks.  The rows
+    take no part in comparison.
     """
 
     lists: tuple[NBestList, ...]
     feature_index: dict[str, int]
+    rows: tuple[sp.csr_matrix, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            object.__setattr__(self, "rows", tuple(map(self._build_rows, self.lists)))
+
+    def _build_rows(self, lst: NBestList) -> sp.csr_matrix:
+        matrix = feature_matrix(lst.hypotheses, self.feature_index)
+        if matrix.nnz != sum(len(hyp.features) for hyp in lst.hypotheses):
+            name = next(n for h in lst.hypotheses for n in h.features if n not in self.feature_index)
+            raise DataError(f"sentence {lst.sent_id}: feature {name!r} is not in the feature index")
+        return matrix
 
     @classmethod
     def from_lists(cls, lists: Iterable[NBestList]) -> "Corpus":
         lists = tuple(lists)
-        index: dict[str, int] = {}
-        for lst in lists:
-            for hyp in lst.hypotheses:
-                for name in hyp.features:
-                    if name not in index:
-                        index[name] = len(index)
-        return cls(lists, index)
+        names = dict.fromkeys(chain.from_iterable(h.features for lst in lists for h in lst.hypotheses))
+        return cls(lists, dict(zip(names, range(len(names)))))
 
     def total_hypotheses(self) -> int:
         return sum(len(lst) for lst in self.lists)
@@ -253,54 +274,123 @@ def parse_first_hypotheses(text: str) -> dict[int, tuple[str, ...]]:
     return first
 
 
+def _mark_distinct(lst: NBestList) -> NBestList:
+    object.__setattr__(lst, "_distinct", True)
+    return lst
+
+
+def kept_positions(lst: NBestList) -> list[int] | None:
+    """Positions of the hypotheses :func:`dedup` keeps (the first of each
+    token sequence), or None when it keeps them all.  A list found distinct
+    is marked so, and costs nothing later."""
+    if lst._distinct:
+        return None
+    first: dict[tuple[str, ...], int] = {}
+    for i, hyp in enumerate(lst.hypotheses):
+        first.setdefault(hyp.tokens, i)
+    if len(first) == len(lst.hypotheses):
+        _mark_distinct(lst)
+        return None
+    return list(first.values())
+
+
 def dedup(lst: NBestList) -> NBestList:
     """Drop hypotheses whose token sequence already occurred, keeping the first."""
-    seen: set[tuple[str, ...]] = set()
-    kept: list[Hypothesis] = []
-    for hyp in lst.hypotheses:
-        if hyp.tokens not in seen:
-            seen.add(hyp.tokens)
-            kept.append(hyp)
-    if len(kept) == len(lst.hypotheses):
+    keep = kept_positions(lst)
+    if keep is None:
         return lst
-    return NBestList(lst.sent_id, tuple(kept))
+    return _mark_distinct(NBestList(lst.sent_id, tuple(map(lst.hypotheses.__getitem__, keep))))
 
 
 def merge(a: Corpus, b: Corpus) -> Corpus:
     """Union of two corpora: per sentence, a's hypotheses then b's, deduplicated.
 
     The feature index is rebuilt from the surviving hypotheses in scan
-    order, so equal hypothesis sets always yield equal indices.
+    order, so equal hypothesis sets always yield equal indices.  No row is
+    built: each survivor keeps its row from ``a`` or ``b``, its columns
+    mapped to the merged index.
     """
-    order: list[int] = [lst.sent_id for lst in a.lists]
-    grouped: dict[int, list[Hypothesis]] = {lst.sent_id: list(lst.hypotheses) for lst in a.lists}
-    for lst in b.lists:
-        if lst.sent_id not in grouped:
-            grouped[lst.sent_id] = []
-            order.append(lst.sent_id)
-        grouped[lst.sent_id].extend(lst.hypotheses)
-    lists = (dedup(NBestList(sid, tuple(grouped[sid]))) for sid in order)
-    return Corpus.from_lists(lists)
+    # b's column ids in a's id space, its new names numbered after a's
+    ids = dict(a.feature_index)
+    b_ids = np.empty(len(b.feature_index), dtype=np.int64)
+    for name, j in b.feature_index.items():
+        b_ids[j] = ids.setdefault(name, len(ids))
+    names = np.empty(len(ids), dtype=object)
+    names[list(ids.values())] = list(ids)
+
+    grouped: dict[int, list[tuple[NBestList, sp.csr_matrix, np.ndarray | None]]] = {}
+    for corpus, remap in ((a, None), (b, b_ids)):
+        for lst, rows in zip(corpus.lists, corpus.rows):
+            grouped.setdefault(lst.sent_id, []).append((lst, rows, remap))
+    lists: list[NBestList] = []
+    data, cols, lengths, kept = [], [], [], []
+    for sid, parts in grouped.items():
+        if len(parts) == 1:
+            lst = parts[0][0]
+        else:
+            lst = NBestList(sid, tuple(chain.from_iterable(part[0].hypotheses for part in parts)))
+        keep = kept_positions(lst)
+        if keep is None:
+            mask = np.ones(len(lst), dtype=bool)
+        else:
+            mask = np.zeros(len(lst), dtype=bool)
+            mask[keep] = True
+            lst = _mark_distinct(NBestList(sid, tuple(map(lst.hypotheses.__getitem__, keep))))
+        lists.append(lst)
+        kept.append(mask)
+        for _, rows, remap in parts:
+            data.append(rows.data)
+            cols.append(rows.indices if remap is None else remap[rows.indices])
+            lengths.append(np.diff(rows.indptr))
+    if not lists:
+        return Corpus((), {})
+
+    # drop the rows dedup dropped, then number the columns in scan order
+    lengths = np.concatenate(lengths)
+    kept = np.concatenate(kept)
+    nnz_kept = np.repeat(kept, lengths)
+    data = np.concatenate(data)[nnz_kept]
+    cols = np.concatenate(cols)[nnz_kept]
+    first = np.full(len(ids), cols.size)
+    np.minimum.at(first, cols, np.arange(cols.size))
+    used = np.flatnonzero(first < cols.size)
+    scan = used[np.argsort(first[used])]
+    renumber = np.empty(len(ids), dtype=np.int64)
+    renumber[scan] = np.arange(scan.size)
+    cols = renumber[cols]
+    index = dict(zip(names[scan].tolist(), range(scan.size)))
+
+    indptr = np.concatenate([[0], np.cumsum(lengths[kept])])
+    blocks = []
+    start = 0
+    for lst in lists:
+        end = start + len(lst.hypotheses)
+        lo, hi = indptr[start], indptr[end]
+        block = (data[lo:hi], cols[lo:hi], indptr[start : end + 1] - lo)
+        blocks.append(sp.csr_matrix(block, shape=(end - start, scan.size)))
+        start = end
+    return Corpus(tuple(lists), index, tuple(blocks))
 
 
 def feature_matrix(
     hypotheses: Sequence[Hypothesis], feature_index: Mapping[str, int]
 ) -> sp.csr_matrix:
-    """Stack sparse feature vectors into an N x F CSR matrix of dense indices."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for hyp in hypotheses:
-        for name, value in hyp.features.items():
-            idx = feature_index.get(name)
-            if idx is not None:
-                indices.append(idx)
-                data.append(value)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(hypotheses), len(feature_index)),
-    )
+    """Stack sparse feature vectors into an N x F CSR matrix of dense indices.
+
+    Each row keeps the order of its hypothesis's ``features``; a name that
+    ``feature_index`` lacks is left out."""
+    features = [hyp.features for hyp in hypotheses]
+    names = list(chain.from_iterable(features))
+    data = np.fromiter(chain.from_iterable(f.values() for f in features), dtype=float, count=len(names))
+    cols = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    lengths = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
+    known = cols >= 0
+    if not known.all():
+        owner = np.repeat(np.arange(len(features)), lengths)
+        lengths = np.bincount(owner[known], minlength=len(features))
+        cols, data = cols[known], data[known]
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sp.csr_matrix((data, cols, indptr), shape=(len(features), len(feature_index)))
 
 
 def model_scores(matrix: sp.csr_matrix, w: np.ndarray, sent_id: int) -> np.ndarray:

@@ -129,10 +129,13 @@ class _Chunk:
     """A fixed block of instances evaluated with two sparse matvecs and
     whole-array operations on a padded (lists x longest list) block."""
 
-    __slots__ = ("matrix", "gather", "scatter", "chosen", "last")
+    __slots__ = ("matrix", "matrix_t", "gather", "scatter", "chosen", "last")
 
     def __init__(self, instances: Sequence[PLInstance]):
         self.matrix = sp.vstack([inst.features for inst in instances], format="csr")
+        # a CSC view sharing the CSR arrays; ``contrib @ matrix`` would
+        # build it anew on every evaluation and run the same kernel
+        self.matrix_t = self.matrix.T
         sizes = np.array([inst.features.shape[0] for inst in instances])
         ks = np.array([inst.k for inst in instances])[:, None]
         rows = int(sizes.sum())
@@ -157,7 +160,7 @@ class _Chunk:
         # each chosen row adds +1; a row still available at step j adds -p/Z_j
         mult = np.take_along_axis(np.cumsum(np.exp(-logz), axis=1), self.last, axis=1)
         contrib = (self.chosen - np.exp(lp) * mult).ravel()[self.scatter]
-        return float(np.sum(values)), np.asarray(contrib @ self.matrix).ravel()
+        return float(np.sum(values)), self.matrix_t @ contrib
 
 
 def make_evaluator(

@@ -16,7 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bleu import ground_truth_ranking
-from .corpus import Corpus, DataError, NBestList, ReferenceSet, dedup, feature_matrix, model_scores
+from .corpus import (
+    Corpus,
+    DataError,
+    NBestList,
+    ReferenceSet,
+    dedup,
+    feature_matrix,
+    kept_positions,
+    model_scores,
+)
 from .likelihood import PLInstance, make_evaluator
 from .rng import substream
 
@@ -293,17 +302,20 @@ def build_instances(
     """Deduplicate, optionally resample, rank by BLEU, and index every list.
 
     ``k`` is clamped to each list's (post-processing) size.  Raises
-    DataError if any sentence lacks references.  BLEU comes from the
-    profiles ``refs`` keeps, so a hypothesis scored against the same set
-    before is not scored again.
+    DataError if any sentence lacks references.  The feature rows are the
+    corpus's own, and BLEU comes from the profiles ``refs`` keeps, so a
+    hypothesis scored against the same set before is not scored again.
     """
     instances: list[PLInstance] = []
-    for lst in corpus.lists:
+    for lst, matrix in zip(corpus.lists, corpus.rows):
         sid = lst.sent_id
         profile = refs.profile(sid)
-        lst = dedup(lst)
-        bleus = np.array(profile.sentence_bleus([h.tokens for h in lst.hypotheses]))
-        matrix = feature_matrix(lst.hypotheses, corpus.feature_index)
+        hyps = lst.hypotheses
+        kept = kept_positions(lst)
+        if kept is not None:
+            hyps = [hyps[i] for i in kept]
+            matrix = matrix[kept]
+        bleus = np.array(profile.sentence_bleus([h.tokens for h in hyps]))
         if cfg.sample_size is not None and cfg.sample_size < len(bleus):
             keep = _resample_indices(bleus, cfg.sample_size, matrix, w, cfg.seed, sid)
             bleus = bleus[keep]

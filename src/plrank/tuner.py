@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import repeat
+from operator import mul
 from typing import Callable, Mapping
 
 import numpy as np
@@ -27,7 +29,7 @@ from .corpus import (
     NBestList,
     ParseError,
     ReferenceSet,
-    feature_matrix,
+    feature_matrix,  # noqa: F401  (bench/spans.py hooks this name)
     merge,
     model_scores,
     weights_vector,
@@ -172,35 +174,42 @@ def synthetic_decode(
         raise DataError(
             f"references cover {len(sids)} sentences, spec needs {spec.num_sentences}"
         )
+    k = spec.features_per_hyp
     lists = []
     for sid in sids[: spec.num_sentences]:
         ref = refs[sid][0]
         length = len(ref)
         rng = substream(spec.seed, "decode", round_idx, sid)
-        features = []
-        planted = np.empty(size)
+        active = np.empty((size, k), dtype=np.int64)
+        values = np.empty((size, k))
         for j in range(size):
-            active = np.sort(rng.choice(spec.feature_dim, spec.features_per_hyp, replace=False))
-            values = rng.standard_normal(spec.features_per_hyp)
-            planted[j] = spec.latent_weights[active] @ values
-            features.append({f"f{i}": float(v) for i, v in zip(active, values)})
+            active[j] = rng.choice(spec.feature_dim, k, replace=False)
+            values[j] = rng.standard_normal(k)
+        active.sort(axis=1)
+        # one length-k dot product per row, the kernel that `a @ b` runs on
+        # each row alone, so the planted scores keep their bits
+        planted = np.matmul(spec.latent_weights[active][:, None, :], values[:, :, None]).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             quality = planted + spec.noise_scale * rng.standard_normal(size)
         if not np.all(np.isfinite(quality)):
             raise DataError(f"sentence {sid}: noise_scale {spec.noise_scale:g} overflows the quality")
         rank_of = np.empty(size, dtype=np.int64)
         rank_of[np.argsort(-quality, kind="stable")] = np.arange(size)
+        if size == 1:
+            prefixes = [length]
+        else:
+            prefixes = ((length * (size - 1 - rank_of)) // (size - 1)).tolist()
+        used, where = np.unique(active, return_inverse=True)
+        names = np.array([f"f{i}" for i in used.tolist()], dtype=object)[where.reshape(active.shape)]
+        places = [str(t) for t in range(length)]
         hyps = []
-        for j in range(size):
-            if size == 1:
-                prefix = length
-            else:
-                prefix = (length * (size - 1 - rank_of[j])) // (size - 1)
-            tokens = ref[:prefix] + tuple(
-                f"x{sid}r{round_idx}h{j}p{t}" for t in range(prefix, length)
-            )
-            score = sum(weights.get(name, 0.0) * v for name, v in features[j].items())
-            hyps.append(Hypothesis(tokens, features[j], score))
+        for j, (prefix, row, vals) in enumerate(zip(prefixes, names.tolist(), values.tolist())):
+            filler = f"x{sid}r{round_idx}h{j}p"
+            tokens = ref[:prefix] + tuple(map(filler.__add__, places[prefix:]))
+            features = dict(zip(row, vals))
+            # a Python float sum in feature order: the written scores' bytes depend on it
+            score = sum(map(mul, map(weights.get, row, repeat(0.0)), vals))
+            hyps.append(Hypothesis(tokens, features, score))
         lists.append(NBestList(sid, tuple(hyps)))
     return Corpus.from_lists(lists)
 
@@ -224,8 +233,8 @@ def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
     out = []
-    for lst in corpus.lists:
-        scores = model_scores(feature_matrix(lst.hypotheses, corpus.feature_index), w, lst.sent_id)
+    for lst, rows in zip(corpus.lists, corpus.rows):
+        scores = model_scores(rows, w, lst.sent_id)
         order = np.argsort(-scores, kind="stable")[:top]
         out.append(NBestList(lst.sent_id, tuple(lst.hypotheses[i] for i in order)))
     return out

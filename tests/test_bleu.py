@@ -140,6 +140,26 @@ class TestReferenceStatsProperties:
         assert all(type(x) is int for s in got for x in (*s.match, *s.total))
         assert bleus == [sentence_bleu(s) for s in expected]
 
+    @settings(max_examples=40, deadline=None)
+    @given(scoring_cases(), st.data())
+    def test_list_extending_the_last_one_passes_only_its_tail(self, case, data):
+        # a tuning pool grows by appending each round's new hypotheses
+        hyps, refs = case
+        profile = ReferenceStats(refs)
+        passed = []
+        stats_for = profile.stats_for
+        profile.stats_for = lambda hyp: passed.append(tuple(hyp)) or stats_for(hyp)
+        lst = []
+        for _ in range(4):
+            tail = data.draw(st.lists(st.sampled_from(hyps), max_size=4))
+            extends = data.draw(st.booleans())
+            lst = lst + tail if extends else tail
+            passed.clear()
+            bleus = profile.sentence_bleus(lst)
+            assert bleus == [sentence_bleu(slow_stats(hyp, refs, MAX_N)) for hyp in lst]
+            if extends:
+                assert passed == [tuple(hyp) for hyp in tail]
+
     def test_reference_vocabulary_above_two_to_the_sixteen(self):
         # 70,000 distinct tokens: 4-gram keys built as vocab**4 would pass 2**63
         ref = [f"t{i}" for i in range(70_000)]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plrank.corpus import (
     Corpus,
+    DataError,
     Hypothesis,
     NBestList,
     ParseError,
@@ -256,6 +257,14 @@ class TestMerge:
         assert [lst.sent_id for lst in out.lists] == [0, 1]
         assert out.feature_index == {"f": 0, "g": 1}
 
+    def test_repeated_sentence_id_is_one_list(self):
+        # from_lists keeps two lists of one sentence apart; merge joins them
+        a = Corpus.from_lists([NBestList(0, (hyp(0, "x", {"f": 1.0}),)), NBestList(0, (hyp(0, "y", {"g": 1.0}),))])
+        b = Corpus.from_lists([NBestList(0, (hyp(0, "z", {"h": 1.0}),))])
+        out = merge(a, b)
+        assert [[h.tokens for h in lst.hypotheses] for lst in out.lists] == [[("x",), ("y",), ("z",)]]
+        assert out.feature_index == {"f": 0, "g": 1, "h": 2}
+
     def test_merge_with_self_is_identity_on_sets(self):
         a = parse_nbest(SAMPLE)
         out = merge(a, a)
@@ -282,6 +291,92 @@ class TestMerge:
 
         a, b, c = tiny_corpus(), tiny_corpus(), tiny_corpus()
         assert merge(merge(a, b), c) == merge(a, merge(b, c))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_the_merged_lists_feature_matrices(self, data):
+        # few token sequences, so duplicates come within a round and across
+        # rounds; sentences and feature names in any order, so a name first
+        # seen in a later sentence reorders the merged index; lists may be empty
+        def round_corpus():
+            sids = data.draw(st.lists(st.integers(0, 3), unique=True, max_size=3))
+            lists = []
+            for sid in sids:
+                hyps = []
+                for _ in range(data.draw(st.integers(0, 4))):
+                    tokens = data.draw(st.sampled_from(["a", "b", "a b", ""]))
+                    names = data.draw(st.lists(st.sampled_from("fghk"), unique=True, max_size=4))
+                    values = data.draw(st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names)))
+                    hyps.append(hyp(sid, tokens, {n: v / 2 for n, v in zip(names, values)}))
+                lists.append(NBestList(sid, tuple(hyps)))
+            return Corpus.from_lists(lists)
+
+        pool = Corpus((), {})
+        for _ in range(data.draw(st.integers(1, 4))):
+            b = round_corpus()
+            grouped = {lst.sent_id: list(lst.hypotheses) for lst in pool.lists}
+            for lst in b.lists:
+                grouped.setdefault(lst.sent_id, []).extend(lst.hypotheses)
+            pool = merge(pool, b)
+            # what merge meant before it carried rows: rebuild from the survivors
+            assert pool == Corpus.from_lists(dedup(NBestList(s, tuple(h))) for s, h in grouped.items())
+            assert len(pool.rows) == len(pool.lists)
+            for lst, rows in zip(pool.lists, pool.rows):
+                expected = feature_matrix(lst.hypotheses, pool.feature_index)
+                assert rows.shape == expected.shape
+                for part in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(rows, part), getattr(expected, part))
+
+    def test_merge_keeps_rows_of_hypotheses_it_keeps(self):
+        # b's copy of "x" is dropped with its row, and so is the name only it has
+        a = parse_nbest("0 ||| x ||| f=1.0 ||| 0.0\n")
+        b = parse_nbest("1 ||| y ||| g=2.0 ||| 0.0\n0 ||| x ||| h=9.0 ||| 0.0\n0 ||| z ||| g=3.0 f=4.0 ||| 0.0\n")
+        out = merge(a, b)
+        assert out.feature_index == {"f": 0, "g": 1}
+        assert [m.toarray().tolist() for m in out.rows] == [[[1.0, 0.0], [4.0, 3.0]], [[0.0, 2.0]]]
+        assert out.rows[0].indices.tolist() == [0, 1, 0]
+
+
+class TestFeatureMatrix:
+    @given(
+        st.lists(st.dictionaries(st.sampled_from("fghkm"), st.floats(-1e3, 1e3), max_size=5), max_size=6),
+        st.lists(st.sampled_from("fghkmz"), unique=True),
+    )
+    @settings(max_examples=80)
+    def test_rows_follow_each_dict_and_skip_unknown_names(self, features, names):
+        hyps = [Hypothesis((), f, 0.0) for f in features]
+        index = {name: i for i, name in enumerate(names)}
+        matrix = feature_matrix(hyps, index)
+        indptr, indices, data = [0], [], []
+        for f in features:
+            for name, value in f.items():
+                if name in index:
+                    indices.append(index[name])
+                    data.append(value)
+            indptr.append(len(indices))
+        assert matrix.shape == (len(hyps), len(index))
+        assert matrix.indptr.tolist() == indptr
+        assert matrix.indices.tolist() == indices
+        assert matrix.data.tolist() == data
+
+
+class TestRows:
+    def test_one_block_per_list_built_with_the_corpus(self):
+        corpus = parse_nbest(SAMPLE)
+        assert [m.shape for m in corpus.rows] == [(2, 3), (1, 3)]
+        np.testing.assert_array_equal(corpus.rows[0].toarray(), [[-2.5, 0.4, 0.0], [-3.0, 0.0, 2.0]])
+        assert Corpus((), {}).rows == ()
+
+    def test_rows_take_no_part_in_comparison_or_repr(self):
+        corpus = parse_nbest(SAMPLE)
+        again = parse_nbest(write_nbest(corpus))
+        assert again == corpus and again.rows is not corpus.rows
+        assert "rows" not in repr(corpus)
+
+    def test_feature_missing_from_the_index_is_rejected(self):
+        lists = (NBestList(4, (hyp(4, "a", {"f": 1.0, "g": 2.0}),)),)
+        with pytest.raises(DataError, match="^sentence 4: feature 'g' is not in the feature index$"):
+            Corpus(lists, {"f": 0})
 
 
 class TestRefs:

@@ -1,5 +1,6 @@
 """Reranking, the synthetic decoder, and the outer tuning loop."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,15 @@ import pytest
 import scipy.stats
 
 from plrank.bleu import ReferenceStats, sentence_bleu
-from plrank.corpus import Corpus, DataError, NBestList, parse_nbest, parse_refs, weights_vector
+from plrank.corpus import (
+    Corpus,
+    DataError,
+    NBestList,
+    parse_nbest,
+    parse_refs,
+    weights_vector,
+    write_nbest,
+)
 from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig
 from plrank.tuner import (
     SyntheticDecoder,
@@ -155,6 +164,32 @@ class TestSyntheticDecode:
         with pytest.raises(DataError):
             synthetic_decode(spec, refs, {}, 1, 5)
 
+    @pytest.mark.parametrize(
+        "kw, digest",
+        [
+            # 6 features per hypothesis, and 20: past 16, a dot product of
+            # that length may sum in blocks
+            (
+                dict(num_sentences=3, feature_dim=40, noise_scale=0.3, seed=3, ref_len=12,
+                     features_per_hyp=6),
+                "caa3e77db415013513b0712b57e34e83b21895383c536d1fd0e7e5353b81aa8a",
+            ),
+            (
+                dict(num_sentences=2, feature_dim=64, noise_scale=0.5, seed=8, ref_len=9,
+                     features_per_hyp=20),
+                "9659f5ca9b902e8d68448a9204eed83a782921dcc40367436b75dbd89501efb9",
+            ),
+        ],
+    )
+    def test_bytes_are_pinned(self, kw, digest):
+        # test_09's data and every benchmark input are decoded lists, so a
+        # faster decoder must write the very same bytes
+        spec = SyntheticDecoderSpec(**kw)
+        refs = synthetic_references(spec)
+        weights = {f"f{i}": (-1) ** i * 0.25 * (i % 7) for i in range(0, spec.feature_dim, 3)}
+        text = "".join(write_nbest(synthetic_decode(spec, refs, weights, r, 25)) for r in (1, 2))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 def tune_cfg(**kw):
     train_cfg = kw.pop("train_cfg", TrainConfig(k=3, max_iters=40, seed=5))
@@ -253,6 +288,47 @@ class TestRunTuning:
         report = train(corpus, refs, round_cfg)
         w, _ = weights_vector(named, corpus.feature_index)
         np.testing.assert_array_equal(w, report.final_weights)
+
+    def test_work_scales_with_fresh_hypotheses(self, monkeypatch):
+        # each decoded hypothesis gets its feature row once, when its round's
+        # corpus is made, and its BLEU statistics once; the pool reuses both
+        import plrank.corpus
+        import plrank.trainer
+        import plrank.tuner
+
+        spec = small_spec(feature_dim=10, ref_len=12)
+        refs = synthetic_references(spec)
+        decode = SyntheticDecoder(spec, refs, 9)
+        decoded = []
+
+        def decoder(weights, round_idx):
+            corpus = decode(weights, round_idx)
+            decoded.extend((lst.sent_id, h.tokens) for lst in corpus.lists for h in lst.hypotheses)
+            return corpus
+
+        rows = []
+        build = plrank.corpus.feature_matrix
+
+        def counted(hypotheses, feature_index):
+            rows.append(len(hypotheses))
+            return build(hypotheses, feature_index)
+
+        for module in (plrank.corpus, plrank.trainer, plrank.tuner):
+            monkeypatch.setattr(module, "feature_matrix", counted)
+        scored = []
+        score = ReferenceStats._score
+
+        def recorded(self, hyps):
+            scored.extend((self, key) for key in hyps)
+            return score(self, hyps)
+
+        monkeypatch.setattr(ReferenceStats, "_score", recorded)
+        _, records = run_tuning(decoder, refs, tune_cfg(max_rounds=4))
+        assert len(records) == 4
+        assert sum(rows) == len(decoded) == 4 * 9 * spec.num_sentences
+        sent_of = {id(refs.profile(sid)): sid for sid in refs.by_sent}
+        assert len(scored) == len(set(scored))
+        assert {(sent_of[id(profile)], key) for profile, key in scored} == set(decoded)
 
     def test_low_richness_triggers_resampling(self):
         # feature_dim small relative to list size: r < 5 from round 1
