@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .corpus import (
     DataError,
-    feature_matrix,
     format_float,
     format_weights,
     model_scores,
@@ -89,10 +88,12 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     w, unknown = weights_vector(named, corpus.feature_index)
     for name in unknown:
         print(f"warning: weight feature {name!r} not in corpus; ignored", file=sys.stderr)
-    for lst in rerank(corpus, w, top=args.top):
-        scores = model_scores(feature_matrix(lst.hypotheses, corpus.feature_index), w, lst.sent_id)
-        for hyp, score in zip(lst.hypotheses, scores):
-            print(nbest_line(lst.sent_id, hyp, score))
+    # each hypothesis rerank kept is printed with the score of its corpus row
+    for lst, rows, kept in zip(corpus.lists, corpus.rows, rerank(corpus, w, top=args.top)):
+        scores = model_scores(rows, w, lst.sent_id)
+        row = {id(hyp): i for i, hyp in enumerate(lst.hypotheses)}
+        for hyp in kept.hypotheses:
+            print(nbest_line(lst.sent_id, hyp, scores[row[id(hyp)]]))
     return 0
 
 

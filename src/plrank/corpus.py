@@ -80,14 +80,12 @@ class Corpus:
     ``feature_index`` maps each feature name appearing anywhere in the
     corpus to a 0-based dense index, assigned in first-appearance order.
 
-    ``rows`` holds one CSR block per list: row i of ``rows[j]`` is the
-    feature vector of ``lists[j].hypotheses[i]`` over ``feature_index``, its
-    columns in the order of the hypothesis's ``features``, array for array
-    what :func:`feature_matrix` gives for the list.  The blocks are built
-    once, when the corpus is made; :func:`merge` carries them into the
-    merged corpus, and training and reranking read them.  Raises DataError
-    if a hypothesis has a feature that ``feature_index`` lacks.  The rows
-    take no part in comparison.
+    ``rows`` holds one CSR block per list, array for array what
+    :func:`feature_matrix` gives for the list.  The blocks are built once,
+    when the corpus is made; :func:`merge` carries them into the merged
+    corpus, and training and reranking read them.  Raises DataError if a
+    hypothesis has a feature that ``feature_index`` lacks.  The rows take
+    no part in comparison.
     """
 
     lists: tuple[NBestList, ...]
@@ -96,14 +94,8 @@ class Corpus:
 
     def __post_init__(self):
         if self.rows is None:
-            object.__setattr__(self, "rows", tuple(map(self._build_rows, self.lists)))
-
-    def _build_rows(self, lst: NBestList) -> sp.csr_matrix:
-        matrix = feature_matrix(lst.hypotheses, self.feature_index)
-        if matrix.nnz != sum(len(hyp.features) for hyp in lst.hypotheses):
-            name = next(n for h in lst.hypotheses for n in h.features if n not in self.feature_index)
-            raise DataError(f"sentence {lst.sent_id}: feature {name!r} is not in the feature index")
-        return matrix
+            rows = tuple(map(feature_matrix, self.lists, repeat(self.feature_index)))
+            object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_lists(cls, lists: Iterable[NBestList]) -> "Corpus":
@@ -372,23 +364,21 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     return Corpus(tuple(lists), index, tuple(blocks))
 
 
-def feature_matrix(
-    hypotheses: Sequence[Hypothesis], feature_index: Mapping[str, int]
-) -> sp.csr_matrix:
-    """Stack sparse feature vectors into an N x F CSR matrix of dense indices.
+def feature_matrix(lst: NBestList, feature_index: Mapping[str, int]) -> sp.csr_matrix:
+    """The list's N x F CSR matrix of dense indices: row i is the feature
+    vector of hypothesis i, its columns in the order of its ``features``.
 
-    Each row keeps the order of its hypothesis's ``features``; a name that
-    ``feature_index`` lacks is left out."""
-    features = [hyp.features for hyp in hypotheses]
+    Raises DataError naming the sentence and the first feature, in scan
+    order, that ``feature_index`` lacks."""
+    features = [hyp.features for hyp in lst.hypotheses]
     names = list(chain.from_iterable(features))
     data = np.fromiter(chain.from_iterable(f.values() for f in features), dtype=float, count=len(names))
     cols = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    unknown = np.flatnonzero(cols < 0)
+    if unknown.size:
+        name = names[unknown[0]]
+        raise DataError(f"sentence {lst.sent_id}: feature {name!r} is not in the feature index")
     lengths = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
-    known = cols >= 0
-    if not known.all():
-        owner = np.repeat(np.arange(len(features)), lengths)
-        lengths = np.bincount(owner[known], minlength=len(features))
-        cols, data = cols[known], data[known]
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     return sp.csr_matrix((data, cols, indptr), shape=(len(features), len(feature_index)))
 

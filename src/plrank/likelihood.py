@@ -104,10 +104,14 @@ def _prefix_terms(lp: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def list_distribution(features: sp.csr_matrix | np.ndarray, w: np.ndarray) -> ListDistribution:
-    """Softmax distribution over one list's hypotheses from scores ``H @ w``."""
+    """Softmax distribution over one list's hypotheses from scores ``H @ w``.
+    Raises ValueError if a score overflows or is NaN."""
     if features.shape[0] == 0:
         raise ValueError("empty hypothesis list")
-    scores = np.asarray(features @ w, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.asarray(features @ w, dtype=float).ravel()
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("model score is not finite")
     return ListDistribution(_log_softmax(scores))
 
 

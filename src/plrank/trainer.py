@@ -41,9 +41,9 @@ RICHNESS_THRESHOLD = 5.0
 RESAMPLE_PURPOSE = "resample"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TrainConfig:
-    """Knobs for one training run.
+    """Knobs for one training run, checked once, when it is made.
 
     ``sample_size`` of None trains on full (deduplicated) lists; otherwise
     every longer list is resampled down to that many hypotheses first.
@@ -240,14 +240,11 @@ def lbfgs_maximize(
 def _resample_indices(
     bleus: np.ndarray, m: int, matrix: sp.csr_matrix, w: np.ndarray, rng_seed: int, sent_id: int
 ) -> np.ndarray:
-    """Indices (in original order) of the m hypotheses kept by resampling;
-    draws follow exp(matrix @ w) on the stream of (rng_seed, sent_id).
-    Raises DataError naming the sentence if a score overflows or is NaN."""
+    """Indices (in original order) of the m < len(bleus) hypotheses kept by
+    resampling; draws follow exp(matrix @ w) on the stream of (rng_seed,
+    sent_id).  Raises DataError naming the sentence if a score overflows or
+    is NaN."""
     n = len(bleus)
-    if m < 3:
-        raise ValueError(f"sample size must be >= 3, got {m}")
-    if m >= n:
-        return np.arange(n)
     scores = model_scores(matrix, w, sent_id)
     rng = substream(rng_seed, RESAMPLE_PURPOSE, sent_id)
     take = m // 3
@@ -279,17 +276,19 @@ def resample(
     """Shrink a list to m hypotheses: floor(m/3) best by BLEU, floor(m/3)
     worst, and the rest drawn from the remainder proportional to exp(h.w).
 
-    Returns the list unchanged when m >= its size; original relative order
-    is preserved.  The stream depends only on (rng_seed, sent_id).
+    Returns the list itself, before building any feature row, when m >=
+    its size; otherwise original relative order is preserved.  The stream
+    depends only on (rng_seed, sent_id).  Raises DataError if a hypothesis
+    has a feature that ``feature_index`` lacks.
     """
     bleus = np.asarray(bleus, dtype=float)
     if len(bleus) != len(lst.hypotheses):
         raise ValueError("one BLEU score per hypothesis required")
-    keep = _resample_indices(
-        bleus, m, feature_matrix(lst.hypotheses, feature_index), w, rng_seed, lst.sent_id
-    )
-    if len(keep) == len(lst.hypotheses):
+    if m < 3:
+        raise ValueError(f"sample size must be >= 3, got {m}")
+    if m >= len(lst):
         return lst
+    keep = _resample_indices(bleus, m, feature_matrix(lst, feature_index), w, rng_seed, lst.sent_id)
     return NBestList(lst.sent_id, tuple(lst.hypotheses[i] for i in keep))
 
 

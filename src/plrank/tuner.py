@@ -228,8 +228,9 @@ class SyntheticDecoder:
 
 def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
     """Stable-sort each list by ``h . w`` descending and keep the top few;
-    ties keep their input order.  Raises DataError naming the sentence if a
-    score overflows or is NaN."""
+    ties keep their input order.  Returns one list per corpus list, in
+    corpus order, of the corpus's own hypotheses.  Raises DataError naming
+    the sentence if a score overflows or is NaN."""
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
     out = []

@@ -281,6 +281,15 @@ class TestRerank:
         assert stdout == ""
         assert stderr == "error: sentence 0: model score is not finite\n"
 
+    def test_zero_top_is_usage_error(self, workdir, capsys):
+        (workdir / "weights.txt").write_text("lm\t1.0\n")
+        code, stdout, stderr = run(
+            capsys, "rerank", "--nbest", workdir / "nbest.txt", "--weights", workdir / "weights.txt", "--top", 0
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "usage error: --top must be >= 1, got 0\n"
+
     def test_lone_carriage_return_does_not_end_a_line(self, workdir, capsys):
         # a text-mode read would split this line in two at the \r
         (workdir / "nbest.txt").write_bytes(b"0 ||| a ||| f=1 ||| 0\r1 ||| b ||| f=2 ||| 0\n")
@@ -566,6 +575,22 @@ class TestTuneSim:
         assert code == 2
         assert stdout == "" and weights == b"" and history == b""
         assert stderr == "usage error: per_round must be >= 1, got 0\n"
+
+    def test_resample_m_below_three_is_usage_error(self, simdir, capsys):
+        code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a", extra=("--resample-m", 2))
+        assert code == 2
+        assert stdout == "" and weights == b"" and history == b""
+        assert stderr == "usage error: resample_m must be >= 3, got 2\n"
+
+    def test_one_hypothesis_per_round_stops_when_the_decoder_repeats(self, simdir, capsys):
+        # a one-hypothesis list copies the whole reference, so round 2 adds nothing
+        refs = "".join(f"{sid} ||| s{sid}w0 s{sid}w1 s{sid}w2 s{sid}w3\n" for sid in range(4))
+        (simdir / "refs.txt").write_text(refs)
+        code, _, history, stdout, stderr = run_tune(capsys, simdir, "a", extra=("--per-round", 1), rounds=3)
+        assert code == 0 and stderr == ""
+        assert stdout == "rounds=1 dev_bleu=100.00 corpus_size=4\n"
+        assert history.splitlines()[1].startswith(b"1,100.0,")
+        assert len(history.splitlines()) == 2
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
     def test_non_finite_noise_scale_is_data_error(self, simdir, capsys, noise):

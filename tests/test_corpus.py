@@ -75,7 +75,7 @@ class TestParseNbest:
 
     def test_absent_features_are_zero_in_matrix(self):
         corpus = parse_nbest(SAMPLE)
-        matrix = feature_matrix(corpus.lists[0].hypotheses, corpus.feature_index).toarray()
+        matrix = feature_matrix(corpus.lists[0], corpus.feature_index).toarray()
         np.testing.assert_array_equal(matrix[0], [-2.5, 0.4, 0.0])
         np.testing.assert_array_equal(matrix[1], [-3.0, 0.0, 2.0])
 
@@ -322,7 +322,7 @@ class TestMerge:
             assert pool == Corpus.from_lists(dedup(NBestList(s, tuple(h))) for s, h in grouped.items())
             assert len(pool.rows) == len(pool.lists)
             for lst, rows in zip(pool.lists, pool.rows):
-                expected = feature_matrix(lst.hypotheses, pool.feature_index)
+                expected = feature_matrix(lst, pool.feature_index)
                 assert rows.shape == expected.shape
                 for part in ("indptr", "indices", "data"):
                     np.testing.assert_array_equal(getattr(rows, part), getattr(expected, part))
@@ -343,18 +343,23 @@ class TestFeatureMatrix:
         st.lists(st.sampled_from("fghkmz"), unique=True),
     )
     @settings(max_examples=80)
-    def test_rows_follow_each_dict_and_skip_unknown_names(self, features, names):
-        hyps = [Hypothesis((), f, 0.0) for f in features]
+    def test_rows_follow_each_dict_and_reject_unknown_names(self, features, names):
+        lst = NBestList(7, tuple(Hypothesis((), f, 0.0) for f in features))
         index = {name: i for i, name in enumerate(names)}
-        matrix = feature_matrix(hyps, index)
+        unknown = [name for f in features for name in f if name not in index]
+        if unknown:
+            message = f"^sentence 7: feature '{unknown[0]}' is not in the feature index$"
+            with pytest.raises(DataError, match=message):
+                feature_matrix(lst, index)
+            return
+        matrix = feature_matrix(lst, index)
         indptr, indices, data = [0], [], []
         for f in features:
             for name, value in f.items():
-                if name in index:
-                    indices.append(index[name])
-                    data.append(value)
+                indices.append(index[name])
+                data.append(value)
             indptr.append(len(indices))
-        assert matrix.shape == (len(hyps), len(index))
+        assert matrix.shape == (len(features), len(index))
         assert matrix.indptr.tolist() == indptr
         assert matrix.indices.tolist() == indices
         assert matrix.data.tolist() == data

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,25 @@ class TestListDistribution:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             list_distribution(np.empty((0, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "features, w",
+        [
+            (np.array([[1e308], [0.0]]), np.array([10.0])),  # overflows to inf
+            (sp.csr_matrix([[1e308], [0.0]]), np.array([10.0])),
+            (np.array([[1.0], [0.0]]), np.array([np.nan])),
+        ],
+        ids=["dense-overflow", "sparse-overflow", "nan-weight"],
+    )
+    def test_non_finite_score_rejected(self, features, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(ValueError, match="^model score is not finite$"):
+                list_distribution(features, w)
+
+    def test_empty_probability_vector_rejected(self):
+        with pytest.raises(ValueError, match="^empty probability vector$"):
+            ListDistribution.from_probs([])
 
 
 class TestPermutationLogProb:

@@ -1,5 +1,6 @@
 """Optimizer behavior, list resampling, richness, and end-to-end training."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -122,6 +123,15 @@ class TestLbfgs:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
+    def test_config_cannot_be_changed_past_its_checks(self):
+        # resampling trusts sample_size >= 3 because the config checked it
+        cfg = TrainConfig(sample_size=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sample_size = 2
+        assert dataclasses.replace(cfg, sample_size=None).sample_size is None
+        with pytest.raises(ValueError, match="^sample_size must be >= 3, got 2$"):
+            dataclasses.replace(cfg, sample_size=2)
+
 
 def make_list(sent_id, n, feature_index):
     hyps = tuple(
@@ -155,6 +165,28 @@ class TestResample:
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError):
             self.call(10, 2)
+
+    def test_rejects_one_bleu_too_few(self):
+        lst = make_list(0, 10, self.index)
+        with pytest.raises(ValueError, match="^one BLEU score per hypothesis required$"):
+            resample(lst, np.zeros(9), 5, self.w, self.index, 0)
+
+    def test_feature_outside_the_index_is_rejected(self):
+        lst = make_list(6, 10, {"f": 0, "g": 1})
+        with pytest.raises(DataError, match="^sentence 6: feature 'g' is not in the feature index$"):
+            resample(lst, np.linspace(0, 1, 10), 5, np.zeros(1), {"f": 0}, 0)
+
+    def test_list_no_longer_than_m_is_returned_before_building_rows(self, monkeypatch):
+        import plrank.trainer
+
+        def no_rows(*args):
+            raise AssertionError("feature_matrix called")
+
+        monkeypatch.setattr(plrank.trainer, "feature_matrix", no_rows)
+        # the empty index would reject every hypothesis if a row were built
+        lst = make_list(0, 10, self.index)
+        assert resample(lst, np.linspace(0, 1, 10), 10, self.w, {}, 0) is lst
+        assert resample(lst, np.linspace(0, 1, 10), 11, self.w, {}, 0) is lst
 
     def test_keeps_best_and_worst_thirds(self):
         n, m = 40, 9
@@ -251,7 +283,7 @@ class TestResample:
             bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
             kept = resample(lst, bleus, 9, w, corpus.feature_index, seed)
             assert len(kept.hypotheses) == 9 < len(lst.hypotheses)
-            expected = feature_matrix(kept.hypotheses, corpus.feature_index)
+            expected = feature_matrix(kept, corpus.feature_index)
             assert inst.features.shape == expected.shape
             assert (inst.features != expected).nnz == 0
 
@@ -365,6 +397,12 @@ class TestTrain:
             warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
             with pytest.raises(DataError, match="^sentence 4: model score is not finite$"):
                 train(corpus, refs, TrainConfig(sample_size=3), w0=np.array([10.0]))
+
+    def test_w0_of_the_wrong_shape_is_rejected(self):
+        corpus = parse_nbest("0 ||| a ||| f=1.0 g=2.0 ||| 0.0\n")
+        refs = ReferenceSet({0: (("a",),)})
+        with pytest.raises(ValueError, match=r"^w0 has shape \(3,\), expected \(2,\)$"):
+            train(corpus, refs, TrainConfig(), np.zeros(3))
 
     def test_k_clamped_to_list_size(self):
         corpus = parse_nbest("0 ||| a ||| f=1.0 ||| 0.0\n0 ||| b ||| g=1.0 ||| 0.0\n")

@@ -309,9 +309,9 @@ class TestRunTuning:
         rows = []
         build = plrank.corpus.feature_matrix
 
-        def counted(hypotheses, feature_index):
-            rows.append(len(hypotheses))
-            return build(hypotheses, feature_index)
+        def counted(lst, feature_index):
+            rows.append(len(lst))
+            return build(lst, feature_index)
 
         for module in (plrank.corpus, plrank.trainer, plrank.tuner):
             monkeypatch.setattr(module, "feature_matrix", counted)
