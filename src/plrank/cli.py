@@ -35,7 +35,13 @@ from .tuner import SyntheticDecoder, TuneConfig, parse_spec, rerank, run_tuning
 # files are UTF-8 bytes whatever the locale, and only the parsers split lines:
 # a text-mode file would also end a line at a lone \r
 def _read_utf8(path: str) -> str:
-    return Path(path).read_bytes().decode("utf-8")
+    """The file's text; raises ValueError naming the file and the first
+    byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}") from None
 
 
 def _write_utf8(path: str, text: str) -> None:

@@ -195,9 +195,14 @@ def _records(text: str, counts: tuple[int, ...]) -> Iterator[tuple[int, int, lis
         yield line_no, _parse_sent_id(fields[0], line_no), fields
 
 
-def _hypothesis(line_no: int, fields: Sequence[str]) -> Hypothesis:
+def _hypothesis(line_no: int, fields: Sequence[str], names: dict[str, str]) -> Hypothesis:
     """The hypothesis of one N-best line's four stripped fields; raises
-    ParseError on a malformed or repeated feature and on a bad number."""
+    ParseError on a malformed or repeated feature and on a bad number.
+
+    ``names`` maps each feature name seen so far to the one string that
+    holds it; the hypothesis's features use those strings, and a new name
+    is added.
+    """
     tokens = tuple(fields[1].split())
     features: dict[str, float] = {}
     for item in fields[2].split():
@@ -206,27 +211,23 @@ def _hypothesis(line_no: int, fields: Sequence[str]) -> Hypothesis:
             raise ParseError(line_no, f"feature {item!r} is not <name>=<value>")
         if name in features:
             raise ParseError(line_no, f"duplicate feature {name!r}")
-        features[name] = _parse_number(value, line_no, f"feature {name!r} value")
+        features[names.setdefault(name, name)] = _parse_number(value, line_no, f"feature {name!r} value")
     return Hypothesis(tokens, features, _parse_number(fields[3], line_no, "decoder score"))
 
 
 def parse_nbest(text: str) -> Corpus:
     """Parse N-best lines into a Corpus.  Raises ParseError (with the line
-    number) on a line without four ``|||`` fields or with a malformed hypothesis."""
-    order: list[int] = []
+    number) on a line without four ``|||`` fields or with a malformed hypothesis.
+
+    Each feature name is held by one string, shared by every hypothesis
+    that has the feature and by the feature index."""
     grouped: dict[int, list[Hypothesis]] = {}
-    index: dict[str, int] = {}
+    # first-seen order, which is the feature index's order
+    names: dict[str, str] = {}
     for line_no, sent_id, fields in _records(text, (4,)):
-        hyp = _hypothesis(line_no, fields)
-        for name in hyp.features:
-            if name not in index:
-                index[name] = len(index)
-        if sent_id not in grouped:
-            grouped[sent_id] = []
-            order.append(sent_id)
-        grouped[sent_id].append(hyp)
-    lists = tuple(NBestList(sid, tuple(grouped[sid])) for sid in order)
-    return Corpus(lists, index)
+        grouped.setdefault(sent_id, []).append(_hypothesis(line_no, fields, names))
+    lists = tuple(NBestList(sid, tuple(hyps)) for sid, hyps in grouped.items())
+    return Corpus(lists, dict(zip(names, range(len(names)))))
 
 
 def nbest_line(sent_id: int, hyp: Hypothesis, score: float) -> str:
@@ -261,7 +262,7 @@ def parse_first_hypotheses(text: str) -> dict[int, tuple[str, ...]]:
     N-best line is checked as :func:`parse_nbest` checks it."""
     first: dict[int, tuple[str, ...]] = {}
     for line_no, sent_id, fields in _records(text, (2, 4)):
-        tokens = _hypothesis(line_no, fields).tokens if len(fields) == 4 else tuple(fields[1].split())
+        tokens = _hypothesis(line_no, fields, {}).tokens if len(fields) == 4 else tuple(fields[1].split())
         first.setdefault(sent_id, tokens)
     return first
 

@@ -129,6 +129,19 @@ class TestTrain:
         assert code == 1
         assert stderr.startswith("error:")
 
+    def test_latin1_refs_name_the_file_and_the_byte(self, workdir, capsys):
+        (workdir / "refs.txt").write_bytes("0 ||| caf\xe9\n1 ||| d e\n".encode("latin-1"))
+        code, stdout, stderr = run(
+            capsys,
+            "train",
+            "--nbest", workdir / "nbest.txt",
+            "--refs", workdir / "refs.txt",
+            "--out", workdir / "w.txt",
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {workdir / 'refs.txt'}: not UTF-8: byte 0xe9 at offset 9\n"
+        assert not (workdir / "w.txt").exists()
+
     def test_overflowing_feature_value_gives_one_error_line(self, workdir, capsys):
         (workdir / "nbest.txt").write_text(NBEST.replace("lm=1.0 tm=0.5", "lm=1e308 tm=0.5"))
         with warnings.catch_warnings():
@@ -289,6 +302,14 @@ class TestRerank:
         assert code == 2
         assert stdout == ""
         assert stderr == "usage error: --top must be >= 1, got 0\n"
+
+    def test_undecodable_weights_name_the_file_and_the_byte(self, workdir, capsys):
+        (workdir / "weights.txt").write_bytes(b"\xfflm\t1.0\n")
+        code, stdout, stderr = run(
+            capsys, "rerank", "--nbest", workdir / "nbest.txt", "--weights", workdir / "weights.txt"
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {workdir / 'weights.txt'}: not UTF-8: byte 0xff at offset 0\n"
 
     def test_lone_carriage_return_does_not_end_a_line(self, workdir, capsys):
         # a text-mode read would split this line in two at the \r

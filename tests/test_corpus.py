@@ -11,6 +11,8 @@ from plrank.corpus import (
     Hypothesis,
     NBestList,
     ParseError,
+    _parse_number,
+    _records,
     dedup,
     feature_matrix,
     format_weights,
@@ -140,6 +142,148 @@ class TestParseNbest:
         with pytest.raises(ParseError) as err:
             parse_nbest(text)
         assert err.value.line_no == 4
+
+    def test_each_feature_name_is_one_string(self):
+        # "lm_score" is cut from each line afresh; the corpus keeps the first cut
+        corpus = parse_nbest("0 ||| a ||| lm_score=1.0 tm=2.0 ||| 0.0\n1 ||| b ||| tm=3.0 lm_score=4.0 ||| 0.0\n")
+        (a,), (b,) = (lst.hypotheses for lst in corpus.lists)
+        key_a, key_b, key_index = (next(k for k in keys if k == "lm_score")
+                                   for keys in (a.features, b.features, corpus.feature_index))
+        assert key_a is key_b is key_index
+
+
+# The parsers as they were before feature names were shared: each
+# hypothesis keeps the name strings cut from its own line, and the feature
+# index is built by a second pass over every hypothesis's names.  The
+# parsers must accept and reject exactly what these do.
+def walked_hypothesis(line_no, fields):
+    features = {}
+    for item in fields[2].split():
+        name, eq, value = item.partition("=")
+        if not eq or not name:
+            raise ParseError(line_no, f"feature {item!r} is not <name>=<value>")
+        if name in features:
+            raise ParseError(line_no, f"duplicate feature {name!r}")
+        features[name] = _parse_number(value, line_no, f"feature {name!r} value")
+    return Hypothesis(tuple(fields[1].split()), features, _parse_number(fields[3], line_no, "decoder score"))
+
+
+def walked_parse_nbest(text):
+    order, grouped, index = [], {}, {}
+    for line_no, sent_id, fields in _records(text, (4,)):
+        hyp = walked_hypothesis(line_no, fields)
+        for name in hyp.features:
+            if name not in index:
+                index[name] = len(index)
+        if sent_id not in grouped:
+            grouped[sent_id] = []
+            order.append(sent_id)
+        grouped[sent_id].append(hyp)
+    return Corpus(tuple(NBestList(sid, tuple(grouped[sid])) for sid in order), index)
+
+
+def walked_first_hypotheses(text):
+    first = {}
+    for line_no, sent_id, fields in _records(text, (2, 4)):
+        tokens = walked_hypothesis(line_no, fields).tokens if len(fields) == 4 else tuple(fields[1].split())
+        first.setdefault(sent_id, tokens)
+    return first
+
+
+def outcome(parse, text):
+    try:
+        return parse(text), None
+    except ParseError as err:
+        return None, (str(err), err.line_no)
+
+
+# feature fields of well-formed items with at most one hostile item among
+# them: few names, so they repeat; values that overflow, are not finite, not
+# ASCII or carry "_"; items with no "=", two or an empty side, which can pair
+# up across items ("f=1=2 3"); empty fields; Unicode whitespace between items
+FIELD_NAME = st.sampled_from(["f", "lm_score", "tm\u20ac", "_", "1"])
+FIELD_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(["1", "-0.5", "1e308", "-1e308"])
+)
+HOSTILE_ITEM = st.sampled_from([
+    "f", "f==1", "=1", "f=", "=", "f=1=2", "3", "==", "\u0663", "f=1e999", "f=-1e999", "f=inf", "f=nan",
+    "f=1_0", "_=1_0", "f=\u0663", "f=_", "f=x", "f=0x1", "f=1\xa0", "tm\u20ac=\u0661.5",
+])
+FIELD_SPACE = st.sampled_from([" ", " ", " ", "  ", "\t", "\u3000", "\xa0", "\x1c"])
+
+
+@st.composite
+def feature_field(draw):
+    items = draw(st.lists(st.builds("{}={}".format, FIELD_NAME, FIELD_VALUE), max_size=5))
+    hostile = draw(st.one_of(st.none(), HOSTILE_ITEM))
+    if hostile is not None:
+        items.insert(draw(st.integers(0, len(items))), hostile)
+    return draw(FIELD_SPACE).join(items)
+
+
+LINE_ID = st.sampled_from(["0", "0", "1", "1", "2", "01", "x"])
+HOSTILE_NBEST_LINE = st.builds(
+    "{} ||| {} ||| {} ||| {}".format,
+    LINE_ID,
+    st.sampled_from(["a b", "a", "", "b\u3000c"]),
+    feature_field(),
+    st.one_of(FIELD_VALUE, st.sampled_from(["nan", "1_0", "x"])),
+)
+
+
+class TestParseMatchesTheOldParsers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(HOSTILE_NBEST_LINE, max_size=6))
+    def test_parse_nbest_accepts_and_rejects_what_the_walk_does(self, lines):
+        text = lf_text(lines)
+        expected, expected_error = outcome(walked_parse_nbest, text)
+        corpus, error = outcome(parse_nbest, text)
+        assert error == expected_error
+        if expected is None:
+            return
+        # == would ignore the order of each dict and the sign of a zero
+        def content(c):
+            return [
+                (lst.sent_id, h.tokens, [(k, repr(v)) for k, v in h.features.items()], repr(h.decoder_score))
+                for lst in c.lists
+                for h in lst.hypotheses
+            ], list(c.feature_index.items())
+
+        assert content(corpus) == content(expected)
+        assert [len(lst) for lst in corpus.lists] == [len(lst) for lst in expected.lists]
+        for rows, want in zip(corpus.rows, expected.rows, strict=True):
+            assert rows.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(rows, part), getattr(want, part))
+        key = {k: k for k in corpus.feature_index}
+        assert all(k is key[k] for lst in corpus.lists for h in lst.hypotheses for k in h.features)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(HOSTILE_NBEST_LINE, st.builds("{} ||| {}".format, LINE_ID, feature_field())),
+                    max_size=6))
+    def test_parse_first_hypotheses_accepts_and_rejects_what_the_walk_does(self, lines):
+        text = lf_text(lines)
+        assert outcome(parse_first_hypotheses, text) == outcome(walked_first_hypotheses, text)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("f=1=2 3", "feature 'f' value '1=2' is not a number"),
+            ("f=1 3=2", None),
+            ("", None),
+            ("f=1e308 g=1e308", None),
+            ("f=1 f=1e999", "duplicate feature 'f'"),
+            ("g=1e999 f=1 f=2", "feature 'g' value '1e999' is not finite"),
+            ("f\u3000=1", "feature 'f' is not <name>=<value>"),
+        ],
+        ids=["pieces-pair-across-items", "digit-name", "empty-field", "finite-values-overflowing-sum",
+             "duplicate-before-bad-value", "first-fault-named", "unicode-space-in-item"],
+    )
+    def test_hand_picked_fields(self, field, message):
+        text = f"0 ||| a ||| {field} ||| 0.0\n"
+        corpus, error = outcome(parse_nbest, text)
+        assert outcome(walked_parse_nbest, text) == (corpus, error)
+        assert error == (None if message is None else (f"line 1: {message}", 1))
 
 
 class TestRoundTrip:
