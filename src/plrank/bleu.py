@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -178,9 +180,8 @@ def sentence_bleu(stats: BleuStats) -> float:
     """Add-one smoothed BLEU of a single sentence. Empty hypothesis scores 0."""
     if stats.hyp_len == 0:
         return 0.0
-    log_prec = sum(
-        math.log((m + 1) / (t + 1)) for m, t in zip(stats.match, stats.total)
-    ) / MAX_N
+    # summed left to right on every Python: builtin sum() compensates from 3.12
+    log_prec = reduce(add, (math.log((m + 1) / (t + 1)) for m, t in zip(stats.match, stats.total)), 0.0) / MAX_N
     return _brevity_penalty(stats.hyp_len, stats.ref_len) * math.exp(log_prec)
 
 
@@ -190,9 +191,8 @@ def corpus_bleu(stats: BleuStats) -> float:
         return 0.0
     if any(t == 0 for t in stats.total) or any(m == 0 for m in stats.match):
         return 0.0
-    log_prec = sum(
-        math.log(m / t) for m, t in zip(stats.match, stats.total)
-    ) / MAX_N
+    # left to right, as in sentence_bleu
+    log_prec = reduce(add, (math.log(m / t) for m, t in zip(stats.match, stats.total)), 0.0) / MAX_N
     return _brevity_penalty(stats.hyp_len, stats.ref_len) * math.exp(log_prec)
 
 

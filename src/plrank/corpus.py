@@ -64,9 +64,8 @@ class Hypothesis:
 class NBestList:
     sent_id: int
     hypotheses: tuple[Hypothesis, ...]
-    # set once the list is known to repeat no token sequence, found so by
-    # :func:`kept_positions` or made so by :func:`dedup` or :func:`merge`,
-    # so it is never searched again
+    # set by :func:`dedup` once the list is known to repeat no token
+    # sequence, so it is never searched again
     _distinct: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -154,7 +153,10 @@ def _parse_sent_id(text: str, line_no: int) -> int:
     # ASCII digits only: int() would also read "+1", "1_0" and non-ASCII digits
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ParseError(line_no, f"sentence id {text!r} is not an integer")
-    sent_id = int(text)
+    try:
+        sent_id = int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(line_no, f"sentence id of {len(text)} characters is too long") from None
     if str(sent_id) != text:
         raise ParseError(line_no, f"sentence id {text!r} is not in canonical form")
     if sent_id < 0:
@@ -267,32 +269,20 @@ def parse_first_hypotheses(text: str) -> dict[int, tuple[str, ...]]:
     return first
 
 
-def _mark_distinct(lst: NBestList) -> NBestList:
-    object.__setattr__(lst, "_distinct", True)
-    return lst
-
-
-def kept_positions(lst: NBestList) -> list[int] | None:
-    """Positions of the hypotheses :func:`dedup` keeps (the first of each
-    token sequence), or None when it keeps them all.  A list found distinct
-    is marked so, and costs nothing later."""
-    if lst._distinct:
-        return None
-    first: dict[tuple[str, ...], int] = {}
-    for i, hyp in enumerate(lst.hypotheses):
-        first.setdefault(hyp.tokens, i)
-    if len(first) == len(lst.hypotheses):
-        _mark_distinct(lst)
-        return None
-    return list(first.values())
-
-
-def dedup(lst: NBestList) -> NBestList:
-    """Drop hypotheses whose token sequence already occurred, keeping the first."""
-    keep = kept_positions(lst)
-    if keep is None:
-        return lst
-    return _mark_distinct(NBestList(lst.sent_id, tuple(map(lst.hypotheses.__getitem__, keep))))
+def dedup(lst: NBestList) -> tuple[NBestList, list[int] | None]:
+    """The list without repeated token sequences (the first of each kept),
+    marked distinct, and the positions it kept, or None when it keeps them
+    all and so is the list itself.  A marked list is not searched again."""
+    kept = None
+    if not lst._distinct:
+        first: dict[tuple[str, ...], int] = {}
+        for i, hyp in enumerate(lst.hypotheses):
+            first.setdefault(hyp.tokens, i)
+        if len(first) < len(lst.hypotheses):
+            kept = list(first.values())
+            lst = NBestList(lst.sent_id, tuple(map(lst.hypotheses.__getitem__, kept)))
+        object.__setattr__(lst, "_distinct", True)
+    return lst, kept
 
 
 def merge(a: Corpus, b: Corpus) -> Corpus:
@@ -303,18 +293,11 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     built: each survivor keeps its row from ``a`` or ``b``, its columns
     mapped to the merged index.
     """
-    # b's column ids in a's id space, its new names numbered after a's
-    ids = dict(a.feature_index)
-    b_ids = np.empty(len(b.feature_index), dtype=np.int64)
-    for name, j in b.feature_index.items():
-        b_ids[j] = ids.setdefault(name, len(ids))
-    names = np.empty(len(ids), dtype=object)
-    names[list(ids.values())] = list(ids)
-
-    grouped: dict[int, list[tuple[NBestList, sp.csr_matrix, np.ndarray | None]]] = {}
-    for corpus, remap in ((a, None), (b, b_ids)):
+    # one column space: a's columns, then b's shifted past them
+    grouped: dict[int, list[tuple[NBestList, sp.csr_matrix, int]]] = {}
+    for corpus, shift in ((a, 0), (b, len(a.feature_index))):
         for lst, rows in zip(corpus.lists, corpus.rows):
-            grouped.setdefault(lst.sent_id, []).append((lst, rows, remap))
+            grouped.setdefault(lst.sent_id, []).append((lst, rows, shift))
     lists: list[NBestList] = []
     data, cols, lengths, kept = [], [], [], []
     for sid, parts in grouped.items():
@@ -322,36 +305,34 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
             lst = parts[0][0]
         else:
             lst = NBestList(sid, tuple(chain.from_iterable(part[0].hypotheses for part in parts)))
-        keep = kept_positions(lst)
-        if keep is None:
-            mask = np.ones(len(lst), dtype=bool)
-        else:
-            mask = np.zeros(len(lst), dtype=bool)
-            mask[keep] = True
-            lst = _mark_distinct(NBestList(sid, tuple(map(lst.hypotheses.__getitem__, keep))))
+        mask = np.zeros(len(lst), dtype=bool)
+        lst, keep = dedup(lst)
+        mask[slice(None) if keep is None else keep] = True
         lists.append(lst)
         kept.append(mask)
-        for _, rows, remap in parts:
+        for _, rows, shift in parts:
             data.append(rows.data)
-            cols.append(rows.indices if remap is None else remap[rows.indices])
+            cols.append(rows.indices + shift if shift else rows.indices)
             lengths.append(np.diff(rows.indptr))
     if not lists:
         return Corpus((), {})
 
-    # drop the rows dedup dropped, then number the columns in scan order
+    # drop the rows dedup dropped, then number the names in scan order: a
+    # column's first position becomes its name's id, so a name both corpora
+    # have takes the id of whichever of its two columns comes first
     lengths = np.concatenate(lengths)
     kept = np.concatenate(kept)
     nnz_kept = np.repeat(kept, lengths)
     data = np.concatenate(data)[nnz_kept]
     cols = np.concatenate(cols)[nnz_kept]
-    first = np.full(len(ids), cols.size)
+    names = sorted(a.feature_index, key=a.feature_index.get) + sorted(b.feature_index, key=b.feature_index.get)
+    first = np.full(len(names), cols.size)
     np.minimum.at(first, cols, np.arange(cols.size))
     used = np.flatnonzero(first < cols.size)
-    scan = used[np.argsort(first[used])]
-    renumber = np.empty(len(ids), dtype=np.int64)
-    renumber[scan] = np.arange(scan.size)
-    cols = renumber[cols]
-    index = dict(zip(names[scan].tolist(), range(scan.size)))
+    order = used[np.argsort(first[used])]
+    index: dict[str, int] = {}
+    first[order] = [index.setdefault(names[c], len(index)) for c in order.tolist()]
+    cols = first[cols]
 
     indptr = np.concatenate([[0], np.cumsum(lengths[kept])])
     blocks = []
@@ -360,7 +341,7 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
         end = start + len(lst.hypotheses)
         lo, hi = indptr[start], indptr[end]
         block = (data[lo:hi], cols[lo:hi], indptr[start : end + 1] - lo)
-        blocks.append(sp.csr_matrix(block, shape=(end - start, scan.size)))
+        blocks.append(sp.csr_matrix(block, shape=(end - start, len(index))))
         start = end
     return Corpus(tuple(lists), index, tuple(blocks))
 

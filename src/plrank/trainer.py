@@ -23,7 +23,6 @@ from .corpus import (
     ReferenceSet,
     dedup,
     feature_matrix,
-    kept_positions,
     model_scores,
 )
 from .likelihood import PLInstance, make_evaluator
@@ -309,12 +308,10 @@ def build_instances(
     for lst, matrix in zip(corpus.lists, corpus.rows):
         sid = lst.sent_id
         profile = refs.profile(sid)
-        hyps = lst.hypotheses
-        kept = kept_positions(lst)
+        lst, kept = dedup(lst)
         if kept is not None:
-            hyps = [hyps[i] for i in kept]
             matrix = matrix[kept]
-        bleus = np.array(profile.sentence_bleus([h.tokens for h in hyps]))
+        bleus = np.array(profile.sentence_bleus([h.tokens for h in lst.hypotheses]))
         if cfg.sample_size is not None and cfg.sample_size < len(bleus):
             keep = _resample_indices(bleus, cfg.sample_size, matrix, w, cfg.seed, sid)
             bleus = bleus[keep]
@@ -359,7 +356,7 @@ def richness(corpus: Corpus) -> RichnessReport:
     RICHNESS_THRESHOLD the corpus is too poor to train on as-is."""
     if not corpus.lists:
         raise DataError("empty corpus")
-    sizes = [len(dedup(lst)) for lst in corpus.lists]
+    sizes = [len(dedup(lst)[0]) for lst in corpus.lists]
     avg = sum(sizes) / len(sizes)
     count = len(corpus.feature_index)
     return RichnessReport(count, avg, count / avg)

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import reduce
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 from typing import Callable, Mapping
 
 import numpy as np
@@ -207,8 +208,9 @@ def synthetic_decode(
             filler = f"x{sid}r{round_idx}h{j}p"
             tokens = ref[:prefix] + tuple(map(filler.__add__, places[prefix:]))
             features = dict(zip(row, vals))
-            # a Python float sum in feature order: the written scores' bytes depend on it
-            score = sum(map(mul, map(weights.get, row, repeat(0.0)), vals))
+            # a left-to-right float sum in feature order: the written scores'
+            # bytes depend on it, and builtin sum() compensates from Python 3.12
+            score = reduce(add, map(mul, map(weights.get, row, repeat(0.0)), vals), 0.0)
             hyps.append(Hypothesis(tokens, features, score))
         lists.append(NBestList(sid, tuple(hyps)))
     return Corpus.from_lists(lists)

@@ -382,6 +382,21 @@ class TestEvaluate:
         assert code == 1
         assert stderr.strip() == "error: line 2: sentence id -3 is negative"
 
+    @pytest.mark.parametrize("command", ["richness", "train", "evaluate"])
+    def test_sentence_id_too_long_to_read_names_line(self, workdir, capsys, command):
+        # int() reads at most 4,300 digits by default; the id is not echoed
+        long = workdir / "long.txt"
+        long.write_text(NBEST + "1" * 5000 + " ||| a b ||| lm=1.0 ||| 0.0\n")
+        args = {
+            "richness": ["--nbest", long],
+            "train": ["--nbest", long, "--refs", workdir / "refs.txt", "--out", workdir / "w.txt"],
+            "evaluate": ["--hyp", long, "--refs", workdir / "refs.txt"],
+        }
+        code, stdout, stderr = run(capsys, command, *args[command])
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: line 6: sentence id of 5000 characters is too long\n"
+
     def test_empty_reference_line_names_line(self, evaldir, capsys):
         (evaldir / "refs.txt").write_text("0 ||| a b c d e\n1 |||\n")
         hyp = evaldir / "hyp.txt"

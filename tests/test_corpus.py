@@ -361,7 +361,32 @@ class TestRoundTrip:
         assert parse_nbest(write_nbest(corpus)) == corpus
 
 
+def first_occurrence_positions(lst):
+    # the scan dedup is checked against: the first position of each token
+    # sequence, or None when no sequence repeats
+    first = {}
+    for i, h in enumerate(lst.hypotheses):
+        first.setdefault(h.tokens, i)
+    return None if len(first) == len(lst.hypotheses) else list(first.values())
+
+
 class TestDedup:
+    @given(st.lists(st.sampled_from(["a", "b", "a b", ""]), max_size=8))
+    def test_matches_the_first_occurrence_scan(self, tokens):
+        lst = NBestList(3, tuple(hyp(3, t, {"f": float(i)}) for i, t in enumerate(tokens)))
+        out, kept = dedup(lst)
+        assert kept == first_occurrence_positions(lst)
+        if kept is None:
+            assert out is lst
+        else:
+            assert out.sent_id == 3
+            assert all(h is lst.hypotheses[i] for h, i in zip(out.hypotheses, kept, strict=True))
+            # the list with repeats is not marked: it gives the same again
+            again, kept_again = dedup(lst)
+            assert again == out and kept_again == kept
+        twice, none = dedup(out)
+        assert twice is out and none is None
+
     def test_keeps_first_occurrence(self):
         lst = NBestList(
             0,
@@ -371,18 +396,20 @@ class TestDedup:
                 hyp(0, "a c", {"f": 2.0}, 1.5),
             ),
         )
-        out = dedup(lst)
+        out, kept = dedup(lst)
         assert [h.tokens for h in out.hypotheses] == [("a", "b"), ("a", "c")]
         assert out.hypotheses[0].features == {"f": 1.0}
+        assert kept == [0, 2]
 
     def test_identity_when_unique(self):
         lst = NBestList(0, (hyp(0, "a"), hyp(0, "b")))
-        assert dedup(lst) is lst
+        out, kept = dedup(lst)
+        assert out is lst and kept is None
 
     def test_idempotent(self):
         lst = NBestList(0, tuple(hyp(0, t) for t in ["a", "b", "a", "c", "b"]))
-        once = dedup(lst)
-        assert dedup(once) == once
+        once, _ = dedup(lst)
+        assert dedup(once) == (once, None)
 
 
 class TestMerge:
@@ -463,13 +490,21 @@ class TestMerge:
                 grouped.setdefault(lst.sent_id, []).extend(lst.hypotheses)
             pool = merge(pool, b)
             # what merge meant before it carried rows: rebuild from the survivors
-            assert pool == Corpus.from_lists(dedup(NBestList(s, tuple(h))) for s, h in grouped.items())
+            assert pool == Corpus.from_lists(dedup(NBestList(s, tuple(h)))[0] for s, h in grouped.items())
             assert len(pool.rows) == len(pool.lists)
             for lst, rows in zip(pool.lists, pool.rows):
                 expected = feature_matrix(lst, pool.feature_index)
                 assert rows.shape == expected.shape
                 for part in ("indptr", "indices", "data"):
                     np.testing.assert_array_equal(getattr(rows, part), getattr(expected, part))
+
+    def test_index_given_out_of_id_order(self):
+        # a hand-made index need not list its names in id order
+        a = Corpus((NBestList(0, (hyp(0, "x", {"f": 1.0, "g": 2.0}),)),), {"g": 1, "f": 0})
+        b = Corpus((NBestList(1, (hyp(1, "y", {"g": 5.0}),)),), {"g": 0})
+        out = merge(a, b)
+        assert out.feature_index == {"f": 0, "g": 1}
+        assert [m.toarray().tolist() for m in out.rows] == [[[1.0, 2.0]], [[0.0, 5.0]]]
 
     def test_merge_keeps_rows_of_hypotheses_it_keeps(self):
         # b's copy of "x" is dropped with its row, and so is the name only it has

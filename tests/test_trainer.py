@@ -278,7 +278,7 @@ class TestResample:
         cfg = TrainConfig(k=3, sample_size=9, seed=seed)
         instances = build_instances(corpus, refs, cfg, w)
         for lst, inst in zip(corpus.lists, instances):
-            lst = dedup(lst)
+            lst, _ = dedup(lst)
             profile = ReferenceStats(refs[lst.sent_id])
             bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
             kept = resample(lst, bleus, 9, w, corpus.feature_index, seed)
@@ -286,6 +286,47 @@ class TestResample:
             expected = feature_matrix(kept, corpus.feature_index)
             assert inst.features.shape == expected.shape
             assert (inst.features != expected).nnz == 0
+
+
+    @pytest.mark.parametrize("sample_size", [None, 3])
+    def test_build_instances_on_duplicates_matches_hand_deduplicated_lists(self, sample_size, monkeypatch):
+        rng = np.random.default_rng(21)
+        choices = ["a b", "b a", "a c", "c", "b c a", "a"]
+        lists, by_hand = [], []
+        for sid in range(3):
+            hyps = []
+            for _ in range(12):
+                names = rng.choice(5, size=2, replace=False).tolist()
+                features = {f"f{i}": float(rng.integers(-3, 4)) for i in names}
+                hyps.append(Hypothesis(tuple(choices[rng.integers(len(choices))].split()), features, 0.0))
+            lists.append(NBestList(sid, tuple(hyps)))
+            first = {}
+            for h in hyps:
+                first.setdefault(h.tokens, h)
+            assert 3 < len(first) < len(hyps)
+            by_hand.append(NBestList(sid, tuple(first.values())))
+        corpus = Corpus.from_lists(lists)
+        deduped = Corpus(tuple(by_hand), corpus.feature_index)
+        refs = {sid: (("a", "b", "c"),) for sid in range(3)}
+
+        bleus = []
+        scored = ReferenceStats.sentence_bleus
+
+        def spy(self, hyps):
+            bleus.append(scored(self, hyps))
+            return bleus[-1]
+
+        monkeypatch.setattr(ReferenceStats, "sentence_bleus", spy)
+        cfg = TrainConfig(k=3, sample_size=sample_size, seed=4)
+        w = rng.standard_normal(len(corpus.feature_index))
+        got = build_instances(corpus, ReferenceSet(dict(refs)), cfg, w)
+        expected = build_instances(deduped, ReferenceSet(dict(refs)), cfg, w)
+        assert bleus[:3] == bleus[3:]
+        for g, e in zip(got, expected, strict=True):
+            assert g.sent_id == e.sent_id
+            np.testing.assert_array_equal(g.ranks, e.ranks)
+            assert g.features.shape == e.features.shape
+            assert (g.features != e.features).nnz == 0
 
 
 class TestRichness:

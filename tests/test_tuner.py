@@ -1,6 +1,8 @@
 """Reranking, the synthetic decoder, and the outer tuning loop."""
 
+import builtins
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +97,43 @@ def small_spec(**kw):
     return SyntheticDecoderSpec(**defaults)
 
 
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """builtin sum() as Python 3.12 adds a run of floats."""
+    items = list(iterable)
+    if not items or type(start) not in (int, float) or any(type(x) is not float for x in items):
+        return _builtin_sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+# 6 features per hypothesis, and 20: past 16, a dot product of that length may sum in blocks
+PINNED_DECODES = [
+    (
+        dict(num_sentences=3, feature_dim=40, noise_scale=0.3, seed=3, ref_len=12, features_per_hyp=6),
+        "caa3e77db415013513b0712b57e34e83b21895383c536d1fd0e7e5353b81aa8a",
+    ),
+    (
+        dict(num_sentences=2, feature_dim=64, noise_scale=0.5, seed=8, ref_len=9, features_per_hyp=20),
+        "9659f5ca9b902e8d68448a9204eed83a782921dcc40367436b75dbd89501efb9",
+    ),
+]
+
+
+def pinned_decode_digest(kw):
+    spec = SyntheticDecoderSpec(**kw)
+    refs = synthetic_references(spec)
+    weights = {f"f{i}": (-1) ** i * 0.25 * (i % 7) for i in range(0, spec.feature_dim, 3)}
+    text = "".join(write_nbest(synthetic_decode(spec, refs, weights, r, 25)) for r in (1, 2))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestSyntheticDecode:
     def test_honors_size_and_sentences(self):
         spec = small_spec()
@@ -164,31 +203,19 @@ class TestSyntheticDecode:
         with pytest.raises(DataError):
             synthetic_decode(spec, refs, {}, 1, 5)
 
-    @pytest.mark.parametrize(
-        "kw, digest",
-        [
-            # 6 features per hypothesis, and 20: past 16, a dot product of
-            # that length may sum in blocks
-            (
-                dict(num_sentences=3, feature_dim=40, noise_scale=0.3, seed=3, ref_len=12,
-                     features_per_hyp=6),
-                "caa3e77db415013513b0712b57e34e83b21895383c536d1fd0e7e5353b81aa8a",
-            ),
-            (
-                dict(num_sentences=2, feature_dim=64, noise_scale=0.5, seed=8, ref_len=9,
-                     features_per_hyp=20),
-                "9659f5ca9b902e8d68448a9204eed83a782921dcc40367436b75dbd89501efb9",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("kw, digest", PINNED_DECODES)
     def test_bytes_are_pinned(self, kw, digest):
         # test_09's data and every benchmark input are decoded lists, so a
         # faster decoder must write the very same bytes
-        spec = SyntheticDecoderSpec(**kw)
-        refs = synthetic_references(spec)
-        weights = {f"f{i}": (-1) ** i * 0.25 * (i % 7) for i in range(0, spec.feature_dim, 3)}
-        text = "".join(write_nbest(synthetic_decode(spec, refs, weights, r, 25)) for r in (1, 2))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert pinned_decode_digest(kw) == digest
+
+    @pytest.mark.parametrize("kw, digest", PINNED_DECODES)
+    def test_bytes_are_pinned_under_a_compensated_sum(self, kw, digest, monkeypatch):
+        # from Python 3.12 builtin sum() adds floats with Neumaier
+        # compensation; the decoder's scores and BLEU must not go through it
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the stand-in compensates
+        assert pinned_decode_digest(kw) == digest
 
 
 def tune_cfg(**kw):
