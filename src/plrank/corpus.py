@@ -149,18 +149,27 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+# an error message repeats a sentence id of up to this many printed characters
+_ID_ECHO = 32
+
+
 def _parse_sent_id(text: str, line_no: int) -> int:
+    def error(shown: str, problem: str) -> ParseError:
+        if len(shown) > _ID_ECHO:
+            shown = f"of {len(text)} characters"
+        return ParseError(line_no, f"sentence id {shown} {problem}")
+
     # ASCII digits only: int() would also read "+1", "1_0" and non-ASCII digits
     if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ParseError(line_no, f"sentence id {text!r} is not an integer")
+        raise error(repr(text), "is not an integer")
     try:
         sent_id = int(text)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(line_no, f"sentence id of {len(text)} characters is too long") from None
+    except ValueError:  # more digits than int() converts, so longer than _ID_ECHO
+        raise error(repr(text), "is too long") from None
     if str(sent_id) != text:
-        raise ParseError(line_no, f"sentence id {text!r} is not in canonical form")
+        raise error(repr(text), "is not in canonical form")
     if sent_id < 0:
-        raise ParseError(line_no, f"sentence id {sent_id} is negative")
+        raise error(text, "is negative")
     return sent_id
 
 

@@ -10,8 +10,8 @@ lists and subtracts a Gaussian penalty ``l2_scale/2 * ||w||^2``; it is
 concave in ``w`` with an analytic gradient.
 
 Evaluation is one vectorized pass over a padded (lists x longest list)
-block per fixed-size chunk of instances; chunks are reduced serially in
-input order, so objective and gradient are bit-identical from run to run.
+block per fixed-size chunk of instances, reduced in input order (bit-identical
+from run to run) into one gradient vector, however many chunks there are.
 """
 
 from __future__ import annotations
@@ -179,14 +179,13 @@ def make_evaluator(
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(w, dtype=float)
-        parts = [c.evaluate(w) for c in chunks]
-        if parts:
-            value = float(np.sum(np.array([p[0] for p in parts])))
-            grad = np.sum(np.stack([p[1] for p in parts]), axis=0)
-        else:
-            value, grad = 0.0, np.zeros_like(w)
-        value -= 0.5 * l2_scale * float(w @ w)
-        grad = grad - l2_scale * w
+        values = np.empty(len(chunks))
+        grad = np.zeros_like(w)  # a CSC matvec never returns -0.0, so 0.0 + g == g
+        for i, c in enumerate(chunks):
+            values[i], g = c.evaluate(w)
+            grad += g
+        value = float(np.sum(values)) - 0.5 * l2_scale * float(w @ w)
+        grad -= l2_scale * w
         return value, grad
 
     return evaluate

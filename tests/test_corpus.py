@@ -115,13 +115,21 @@ class TestParseNbest:
             (parse_nbest, "-0 ||| a ||| f=1.0 ||| 0.0\n", "sentence id '-0' is not in canonical form"),
             (parse_refs, "007 ||| a\n", "sentence id '007' is not in canonical form"),
             (parse_refs, "-0 ||| a\n", "sentence id '-0' is not in canonical form"),
+            # a long id is named by its length, not echoed
+            (parse_nbest, "1" + "_1" * 2000 + " ||| a ||| f=1.0 ||| 0.0\n",
+             "sentence id of 4001 characters is not an integer"),
+            (parse_nbest, "0" + "1" * 4000 + " ||| a ||| f=1.0 ||| 0.0\n",
+             "sentence id of 4001 characters is not in canonical form"),
+            (parse_refs, "-" + "1" * 4000 + " ||| a\n", "sentence id of 4001 characters is negative"),
         ],
         ids=["underscore-id", "plus-id", "arabic-indic-id", "arabic-indic-ref-id",
              "underscore-value", "arabic-indic-score", "underscore-weight",
-             "leading-zero-id", "minus-zero-id", "leading-zero-ref-id", "minus-zero-ref-id"],
+             "leading-zero-id", "minus-zero-id", "leading-zero-ref-id", "minus-zero-ref-id",
+             "long-underscore-id", "long-leading-zero-id", "long-negative-ref-id"],
     )
     def test_ids_and_numbers_are_plain_ascii(self, parse, text, message):
-        # int() and float() would read these as 10, 1, 3, 3, 10.5, 3, 10, 7, 0, 7 and 0
+        # int() and float() would read these as 10, 1, 3, 3, 10.5, 3, 10, 7, 0, 7, 0,
+        # 2,001 ones, 4,000 ones and minus 4,000 ones
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"line 1: {message}"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plrank.likelihood import (
+    _CHUNK,
     ListDistribution,
     PLInstance,
+    _Chunk,
     list_distribution,
     make_evaluator,
     objective_and_gradient,
@@ -322,6 +325,75 @@ class TestChunkedKernelProperties:
         value, grad = objective_and_gradient(singles, w, 0.5)
         assert value == -0.25 * float(w @ w)
         assert np.array_equal(grad, -0.5 * w)
+
+
+def stacked_objective_and_gradient(instances, w, l2_scale):
+    """The chunked reduction that keeps every chunk's gradient and sums the
+    stack: the oracle for the evaluator's running gradient."""
+    parts = [_Chunk(instances[i : i + _CHUNK]).evaluate(w) for i in range(0, len(instances), _CHUNK)]
+    if parts:
+        value = float(np.sum(np.array([p[0] for p in parts])))
+        grad = np.sum(np.stack([p[1] for p in parts]), axis=0)
+    else:
+        value, grad = 0.0, np.zeros_like(w)
+    return value - 0.5 * l2_scale * float(w @ w), grad - l2_scale * w
+
+
+def tiny_lists(count, n_features, rng):
+    """``count`` two-row lists, each row with one nonzero feature."""
+    instances = []
+    for i in range(count):
+        cols = rng.integers(0, n_features, size=2)
+        features = sp.csr_matrix((rng.standard_normal(2), cols, [0, 1, 2]), shape=(2, n_features))
+        instances.append(PLInstance(i, features, np.array([0])))
+    return instances
+
+
+class TestRunningGradient:
+    @PROPERTY_SETTINGS
+    @given(
+        # no chunk, one chunk, 9 or 10 chunks
+        st.one_of(st.just(0), st.integers(1, _CHUNK), st.integers(8 * _CHUNK + 1, 600)),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 2.0),
+    )
+    def test_bits_equal_the_stacked_chunk_sum(self, count, seed, l2):
+        # the lists come from a seeded stream, not from hypothesis, so that a
+        # failing example of 600 lists shrinks in seconds
+        rng = np.random.default_rng(seed)
+        instances = []
+        for i in range(count):
+            n = int(rng.integers(1, 41))
+            dense = rng.standard_normal((n, N_FEATURES))
+            dense[rng.random(dense.shape) < 0.3] = 0.0
+            ranks = rng.permutation(n)[: rng.integers(1, n + 1)]
+            instances.append(PLInstance(i, sp.csr_matrix(dense), ranks))
+        w = rng.standard_normal(N_FEATURES)
+        value, grad = make_evaluator(instances, l2)(w)
+        expected_value, expected_grad = stacked_objective_and_gradient(instances, w, l2)
+        assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+    def test_peak_memory_does_not_grow_with_chunks(self):
+        # one evaluation holds a few F-vectors (the running sum, one chunk's
+        # matvec, the penalty term); keeping every chunk's gradient and then
+        # stacking them would hold 2 x chunks of them
+        n_features = 200_000
+        vector = 8 * n_features
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal(n_features)
+        peaks = []
+        for chunks in (1, 8):
+            evaluate = make_evaluator(tiny_lists(chunks * _CHUNK, n_features, rng), 0.5)
+            evaluate(w)
+            tracemalloc.start()
+            try:
+                evaluate(w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * vector, peaks
+        assert peaks[1] < peaks[0] + vector / 8, peaks
 
 
 class TestLikelihoodProperties:
