@@ -209,5 +209,4 @@ def ground_truth_ranking(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for a list of {n}")
     keys = substream(rng_seed, TIE_BREAK_PURPOSE, sent_id).random(n)
-    order = sorted(range(n), key=lambda i: (-bleus[i], keys[i]))
-    return order[:k]
+    return np.lexsort((keys, -np.asarray(bleus, dtype=float)))[:k].tolist()

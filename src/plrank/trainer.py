@@ -9,6 +9,7 @@ L-BFGS using a strong-Wolfe line search.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -98,7 +99,7 @@ class RichnessReport:
 
 
 def _inf_norm(g: np.ndarray) -> float:
-    return float(np.abs(g).max()) if g.size else 0.0
+    return float(np.abs(g).max(initial=0.0))
 
 
 def _checked(f_and_grad, w: np.ndarray, iteration: int) -> tuple[float, np.ndarray]:
@@ -109,7 +110,7 @@ def _checked(f_and_grad, w: np.ndarray, iteration: int) -> tuple[float, np.ndarr
     return float(value), grad
 
 
-def _two_loop(pairs: list[tuple[np.ndarray, np.ndarray, float]], g: np.ndarray) -> np.ndarray:
+def _two_loop(pairs: deque[tuple[np.ndarray, np.ndarray, float]], g: np.ndarray) -> np.ndarray:
     """Apply the inverse-Hessian estimate to the ascent gradient."""
     q = g.copy()
     alphas = []
@@ -202,17 +203,15 @@ def lbfgs_maximize(
     w = np.array(w0, dtype=float, copy=True)
     f, g = _checked(f_and_grad, w, 0)
     history: list[tuple[int, float, float]] = [(0, f, _inf_norm(g))]
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    converged = _inf_norm(g) <= cfg.grad_tol
-    iteration = 0
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
 
-    while not converged and iteration < cfg.max_iters:
+    while history[-1][2] > cfg.grad_tol and history[-1][0] < cfg.max_iters:
         p = _two_loop(pairs, g)
         if g @ p <= 0:  # not an ascent direction; fall back to steepest ascent
             pairs.clear()
             p = g.copy()
 
-        def phi(alpha, _w=w, _p=p, _it=iteration):
+        def phi(alpha, _w=w, _p=p, _it=history[-1][0]):
             w_a = _w + alpha * _p
             f_a, g_a = _checked(f_and_grad, w_a, _it + 1)
             return -f_a, -(g_a @ _p), (w_a, f_a, g_a)
@@ -226,14 +225,10 @@ def lbfgs_maximize(
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > LBFGS_MEMORY:
-                pairs.pop(0)
         w, f, g = w_new, f_new, g_new
-        iteration += 1
-        history.append((iteration, f, _inf_norm(g)))
-        converged = _inf_norm(g) <= cfg.grad_tol
+        history.append((history[-1][0] + 1, f, _inf_norm(g)))
 
-    return TrainReport(w, history, converged)
+    return TrainReport(w, history, history[-1][2] <= cfg.grad_tol)
 
 
 def _resample_indices(

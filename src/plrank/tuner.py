@@ -46,7 +46,7 @@ DecoderInterface = Callable[[Mapping[str, float], int], "Corpus"]
 MAX_FEATURE_DIM = 10**7
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TuneConfig:
     train_cfg: TrainConfig
     max_rounds: int = 40
@@ -68,14 +68,14 @@ class RoundRecord:
     richness: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticDecoderSpec:
     """Generator settings for the synthetic decoder.
 
     ``latent_weights`` is the planted model, drawn standard-normal from
-    ``seed``.  Each hypothesis activates ``features_per_hyp`` random
-    features with standard-normal values, and its token sequence copies a
-    reference prefix whose length is monotone in the rank of
+    ``seed`` and read-only.  Each hypothesis activates ``features_per_hyp``
+    random features with standard-normal values, and its token sequence
+    copies a reference prefix whose length is monotone in the rank of
     ``latent . h + noise_scale * eps`` within the list, so longer prefixes
     (higher BLEU) mean higher planted score.
     """
@@ -86,7 +86,7 @@ class SyntheticDecoderSpec:
     seed: int = 0
     ref_len: int = 20
     features_per_hyp: int = 8
-    latent_weights: np.ndarray = field(init=False)
+    latent_weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.num_sentences < 1:
@@ -99,7 +99,9 @@ class SyntheticDecoderSpec:
             raise ValueError(f"ref_len must be >= 1, got {self.ref_len}")
         if not 1 <= self.features_per_hyp <= self.feature_dim:
             raise ValueError("features_per_hyp must be in [1, feature_dim]")
-        self.latent_weights = substream(self.seed, "latent").standard_normal(self.feature_dim)
+        latent = substream(self.seed, "latent").standard_normal(self.feature_dim)
+        latent.flags.writeable = False
+        object.__setattr__(self, "latent_weights", latent)
 
 
 # the spec file's keys and the type each value is read as

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from plrank.bleu import (
     MAX_N,
+    TIE_BREAK_PURPOSE,
     BleuStats,
     ReferenceStats,
     corpus_bleu,
     ground_truth_ranking,
     sentence_bleu,
 )
+from plrank.rng import substream
 
 
 def stats(hyp, refs):
@@ -277,6 +280,24 @@ class TestRanking:
         assert len(counts) == 6
         _, p = scipy.stats.chisquare(list(counts.values()))
         assert p > 0.01, f"tied orders not uniform: p={p}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_sorted_oracle(self, data):
+        # few distinct values, so most lists hold exact ties, and 0.0 negates to -0.0
+        bleus = data.draw(
+            st.lists(st.sampled_from([0.0, 0.125, 0.5, 1.0]), min_size=1, max_size=40), label="bleus"
+        )
+        n = len(bleus)
+        k = data.draw(st.integers(1, n), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        sent_id = data.draw(st.integers(0, 10**6), label="sent_id")
+        keys = substream(seed, TIE_BREAK_PURPOSE, sent_id).random(n)
+        oracle = sorted(range(n), key=lambda i: (-bleus[i], keys[i]))[:k]
+        # training passes a numpy array, the other callers a list
+        as_array = data.draw(st.booleans(), label="as_array")
+        ranks = ground_truth_ranking(np.array(bleus) if as_array else bleus, k, seed, sent_id)
+        assert ranks == oracle
 
     def test_ties_do_not_cross_bleu_levels(self):
         for seed in range(50):

@@ -684,6 +684,41 @@ class TestTuneSim:
         assert stderr == "error: unknown spec key 'wat'\n"
 
 
+def test_outputs_do_not_depend_on_the_string_hash_seed(simdir):
+    # each process draws its own str hash seed, which orders sets of names
+    from plrank.tuner import SyntheticDecoderSpec, synthetic_decode, synthetic_references
+
+    spec = SyntheticDecoderSpec(num_sentences=4, feature_dim=30, seed=3, ref_len=12)
+    refs = synthetic_references(spec)
+    (simdir / "nbest.txt").write_text(write_nbest(synthetic_decode(spec, refs, {}, 1, 20)))
+    (simdir / "train-refs.txt").write_text(
+        "".join(f"{sid} ||| {' '.join(refs[sid][0])}\n" for sid in sorted(refs.by_sent))
+    )
+    commands = {
+        "tune-sim": ["tune-sim", "--spec", "spec.txt", "--refs", "refs.txt", "--rounds", "2",
+                     "--per-round", "10", "--k", "3", "--max-iter", "30", "--seed", "7"],
+        "train": ["train", "--nbest", "nbest.txt", "--refs", "train-refs.txt", "--k", "3",
+                  "--sample-size", "8", "--seed", "7"],
+    }
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        for name, argv in commands.items():
+            out, hist = f"weights-{name}-{hash_seed}.txt", f"history-{name}-{hash_seed}.csv"
+            result = subprocess.run(
+                [sys.executable, "-m", "plrank.cli", *argv, "--out", out, "--history", hist],
+                cwd=simdir, env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            got = ((simdir / out).read_bytes(), (simdir / hist).read_bytes(), result.stdout)
+            assert all(got)
+            outputs[name, hash_seed] = got
+    for name in commands:
+        assert outputs[name, "0"] == outputs[name, "1"]
+
+
 # small, mostly well-formed files with extreme numbers; at most one line in
 # each is replaced by a hostile one (bad id, missing field, non-finite or
 # non-numeric value, empty reference, stray text)

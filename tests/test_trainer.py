@@ -110,6 +110,36 @@ class TestLbfgs:
         with pytest.raises(ValueError, match="iteration 1"):
             lbfgs_maximize(explodes, np.zeros(3), TrainConfig())
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_concave_quadratic_runs_keep_the_loop_contract(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        eigs = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n), label="eigs"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        max_iters = data.draw(st.integers(1, 40), label="max_iters")
+        grad_tol = data.draw(st.sampled_from([1e-8, 1e-6, 1e-3, 1.0]), label="grad_tol")
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        hess = basis @ np.diag(eigs) @ basis.T
+        b = rng.standard_normal(n) * 3
+
+        def f_and_grad(w):
+            return float(b @ w - 0.5 * (w @ hess @ w)), b - hess @ w
+
+        cfg = TrainConfig(max_iters=max_iters, grad_tol=grad_tol)
+        report = lbfgs_maximize(f_and_grad, rng.standard_normal(n), cfg)
+        iterations, objs, norms = zip(*report.history)
+        assert all(later >= earlier for earlier, later in zip(objs, objs[1:]))
+        assert iterations == tuple(range(len(report.history)))
+        assert report.iterations_used <= max_iters
+        # the loop stops at the first row at or below grad_tol, and only there
+        assert all(norm > grad_tol for norm in norms[:-1])
+        assert report.converged == (norms[-1] <= grad_tol)
+        if report.converged:
+            # |w - w*|_2 <= |H^-1|_2 |g|_2 <= sqrt(n) |g|_inf / min(eigs)
+            bound = np.sqrt(n) * grad_tol / eigs.min() * (1 + 1e-6) + 1e-9
+            assert np.abs(report.final_weights - np.linalg.solve(hess, b)).max() <= bound
+
     def test_config_validation(self):
         for bad in [
             dict(k=0),

@@ -1,6 +1,7 @@
 """Reranking, the synthetic decoder, and the outer tuning loop."""
 
 import builtins
+import dataclasses
 import hashlib
 import math
 import os
@@ -223,6 +224,52 @@ def tune_cfg(**kw):
     defaults = dict(train_cfg=train_cfg, max_rounds=3, resample_m=8)
     defaults.update(kw)
     return TuneConfig(**defaults)
+
+
+class TestFrozenSettings:
+    """A spec and a tuning config are checked once, when made, and then frozen."""
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (small_spec, "seed", 2),
+            (small_spec, "feature_dim", 10**9),
+            (small_spec, "latent_weights", np.zeros(12)),
+            (tune_cfg, "max_rounds", 0),
+            (tune_cfg, "resample_m", 1),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, make, field, value):
+        settings = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(settings, field, value)
+
+    def test_replaced_spec_is_checked_and_draws_its_own_planted_model(self):
+        spec = small_spec(seed=1)
+        reseeded = dataclasses.replace(spec, seed=2)
+        # the planted model follows from the fields, so it is not compared
+        assert reseeded == small_spec(seed=2) != spec
+        assert np.array_equal(reseeded.latent_weights, small_spec(seed=2).latent_weights)
+        assert not np.array_equal(reseeded.latent_weights, spec.latent_weights)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.latent_weights[0] = 0.0
+        refs = synthetic_references(spec)
+        assert synthetic_decode(reseeded, refs, {}, 1, 10) == synthetic_decode(
+            small_spec(seed=2), refs, {}, 1, 10
+        )
+        with pytest.raises(ValueError, match="^feature_dim must be in"):
+            dataclasses.replace(spec, feature_dim=10**9)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(max_rounds=0), "^max_rounds must be >= 1, got 0$"),
+            (dict(resample_m=1), "^resample_m must be >= 3, got 1$"),
+        ],
+    )
+    def test_replaced_tune_config_is_checked(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(tune_cfg(), **changes)
 
 
 class TestRunTuning:
