@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .corpus import (
     DataError,
+    _echo,
     format_float,
     format_weights,
     model_scores,
@@ -93,7 +94,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     named = parse_weights(_read_utf8(args.weights))
     w, unknown = weights_vector(named, corpus.feature_index)
     for name in unknown:
-        print(f"warning: weight feature {name!r} not in corpus; ignored", file=sys.stderr)
+        print(f"warning: weight feature {_echo(name)} not in corpus; ignored", file=sys.stderr)
     # each hypothesis rerank kept is printed with the score of its corpus row
     for lst, rows, kept in zip(corpus.lists, corpus.rows, rerank(corpus, w, top=args.top)):
         scores = model_scores(rows, w, lst.sent_id)

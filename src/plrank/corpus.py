@@ -149,41 +149,52 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-# an error message repeats a sentence id of up to this many printed characters
-_ID_ECHO = 32
+# an error message repeats an input of up to this many printed characters
+_ECHO = 32
+
+
+def _echo(text: str, quote: bool = True, noun: str = "") -> str:
+    """How an error message shows an input: ``repr(text)`` (``text`` itself
+    when not ``quote``) if that prints in at most _ECHO characters, else
+    ``noun`` "of N characters", so a long input still makes a short line."""
+    shown = repr(text) if quote else text
+    if len(shown) <= _ECHO:
+        return shown
+    return f"{noun} of {len(text)} characters".lstrip()
 
 
 def _parse_sent_id(text: str, line_no: int) -> int:
-    def error(shown: str, problem: str) -> ParseError:
-        if len(shown) > _ID_ECHO:
-            shown = f"of {len(text)} characters"
-        return ParseError(line_no, f"sentence id {shown} {problem}")
-
     # ASCII digits only: int() would also read "+1", "1_0" and non-ASCII digits
     if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise error(repr(text), "is not an integer")
+        raise ParseError(line_no, f"sentence id {_echo(text)} is not an integer")
     try:
         sent_id = int(text)
-    except ValueError:  # more digits than int() converts, so longer than _ID_ECHO
-        raise error(repr(text), "is too long") from None
+    except ValueError:  # more digits than int() converts, so longer than _ECHO
+        raise ParseError(line_no, f"sentence id {_echo(text)} is too long") from None
     if str(sent_id) != text:
-        raise error(repr(text), "is not in canonical form")
+        raise ParseError(line_no, f"sentence id {_echo(text)} is not in canonical form")
     if sent_id < 0:
-        raise error(text, "is negative")
+        raise ParseError(line_no, f"sentence id {_echo(text, quote=False)} is negative")
     return sent_id
 
 
-def _parse_number(text: str, line_no: int, what: str) -> float:
+def _parse_number(text: str, line_no: int, what: str, name: str | None = None) -> float:
+    """``text`` as a finite float; else a ParseError on ``what``, with its
+    ``{}`` filled by ``name`` as :func:`_echo` shows it."""
     try:
         # float() would also read "1_0" and non-ASCII digits
         if not text.isascii() or "_" in text:
             raise ValueError
         value = float(text)
     except ValueError:
-        raise ParseError(line_no, f"{what} {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"{what} {text!r} is not finite")
-    return value
+        problem = "is not a number"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = "is not finite"
+    if name is not None:
+        what = what.format(_echo(name))
+    raise ParseError(line_no, f"{what} {_echo(text)} {problem}")
 
 
 def _lines(text: str) -> list[str]:
@@ -219,10 +230,10 @@ def _hypothesis(line_no: int, fields: Sequence[str], names: dict[str, str]) -> H
     for item in fields[2].split():
         name, eq, value = item.partition("=")
         if not eq or not name:
-            raise ParseError(line_no, f"feature {item!r} is not <name>=<value>")
+            raise ParseError(line_no, f"feature {_echo(item)} is not <name>=<value>")
         if name in features:
-            raise ParseError(line_no, f"duplicate feature {name!r}")
-        features[names.setdefault(name, name)] = _parse_number(value, line_no, f"feature {name!r} value")
+            raise ParseError(line_no, f"duplicate feature {_echo(name)}")
+        features[names.setdefault(name, name)] = _parse_number(value, line_no, "feature {} value", name)
     return Hypothesis(tokens, features, _parse_number(fields[3], line_no, "decoder score"))
 
 
@@ -310,10 +321,7 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     lists: list[NBestList] = []
     data, cols, lengths, kept = [], [], [], []
     for sid, parts in grouped.items():
-        if len(parts) == 1:
-            lst = parts[0][0]
-        else:
-            lst = NBestList(sid, tuple(chain.from_iterable(part[0].hypotheses for part in parts)))
+        lst = NBestList(sid, tuple(chain.from_iterable(part[0].hypotheses for part in parts)))
         mask = np.zeros(len(lst), dtype=bool)
         lst, keep = dedup(lst)
         mask[slice(None) if keep is None else keep] = True
@@ -321,7 +329,7 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
         kept.append(mask)
         for _, rows, shift in parts:
             data.append(rows.data)
-            cols.append(rows.indices + shift if shift else rows.indices)
+            cols.append(rows.indices + shift)
             lengths.append(np.diff(rows.indptr))
     if not lists:
         return Corpus((), {})
@@ -368,7 +376,7 @@ def feature_matrix(lst: NBestList, feature_index: Mapping[str, int]) -> sp.csr_m
     unknown = np.flatnonzero(cols < 0)
     if unknown.size:
         name = names[unknown[0]]
-        raise DataError(f"sentence {lst.sent_id}: feature {name!r} is not in the feature index")
+        raise DataError(f"sentence {lst.sent_id}: feature {_echo(name)} is not in the feature index")
     lengths = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     return sp.csr_matrix((data, cols, indptr), shape=(len(features), len(feature_index)))
@@ -391,8 +399,8 @@ def parse_weights(text: str) -> dict[str, float]:
         if not tab or not name:
             raise ParseError(line_no, "expected <feature_name>\\t<value>")
         if name in named:
-            raise ParseError(line_no, f"duplicate feature {name!r}")
-        named[name] = _parse_number(value, line_no, f"weight {name!r}")
+            raise ParseError(line_no, f"duplicate feature {_echo(name)}")
+        named[name] = _parse_number(value, line_no, "weight {}", name)
     return named
 
 

@@ -75,12 +75,18 @@ class TrainReport:
 
     ``history`` holds one ``(iteration, objective, grad_inf_norm)`` row for
     the starting point (iteration 0) and every accepted step; objectives
-    are non-decreasing along it.
+    are non-decreasing along it.  ``stop_reason`` says why the run ended:
+    ``converged`` (grad norm at most ``grad_tol``), ``max_iters`` or
+    ``line_search_failed``.
     """
 
     final_weights: np.ndarray
     history: list[tuple[int, float, float]]
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def iterations_used(self) -> int:
@@ -194,8 +200,9 @@ def lbfgs_maximize(
     w0: np.ndarray,
     cfg: TrainConfig,
 ) -> TrainReport:
-    """Maximize ``f`` from ``w0``; stops at grad-inf-norm <= grad_tol or
-    max_iters accepted steps, or with converged=False if a line search fails.
+    """Maximize ``f`` from ``w0``; stops at grad-inf-norm <= grad_tol
+    (``converged``), at max_iters accepted steps (``max_iters``) or when a
+    line search fails (``line_search_failed``).
 
     Raises ValueError naming the iteration if the objective or gradient
     ever comes back non-finite.
@@ -209,7 +216,7 @@ def lbfgs_maximize(
         p = _two_loop(pairs, g)
         if g @ p <= 0:  # not an ascent direction; fall back to steepest ascent
             pairs.clear()
-            p = g.copy()
+            p = g
 
         def phi(alpha, _w=w, _p=p, _it=history[-1][0]):
             w_a = _w + alpha * _p
@@ -228,7 +235,14 @@ def lbfgs_maximize(
         w, f, g = w_new, f_new, g_new
         history.append((history[-1][0] + 1, f, _inf_norm(g)))
 
-    return TrainReport(w, history, history[-1][2] <= cfg.grad_tol)
+    iteration, _, grad_norm = history[-1]
+    if grad_norm <= cfg.grad_tol:
+        stop_reason = "converged"
+    elif iteration == cfg.max_iters:
+        stop_reason = "max_iters"
+    else:
+        stop_reason = "line_search_failed"
+    return TrainReport(w, history, stop_reason)
 
 
 def _resample_indices(
@@ -313,7 +327,7 @@ def build_instances(
             matrix = matrix[keep]
         k = min(cfg.k, len(bleus))
         ranks = ground_truth_ranking(bleus, k, cfg.seed, sid)
-        instances.append(PLInstance(sid, matrix, np.asarray(ranks)))
+        instances.append(PLInstance(sid, matrix, ranks))
     return instances
 
 

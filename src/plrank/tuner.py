@@ -30,6 +30,7 @@ from .corpus import (
     NBestList,
     ParseError,
     ReferenceSet,
+    _echo,
     feature_matrix,  # noqa: F401  (bench/spans.py hooks this name)
     merge,
     model_scores,
@@ -37,10 +38,6 @@ from .corpus import (
 )
 from .rng import derive_seed, substream
 from .trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
-
-# the forward reference keeps Corpus out of typing's parametrization cache,
-# which would otherwise pin every re-imported plrank.corpus module
-DecoderInterface = Callable[[Mapping[str, float], int], "Corpus"]
 
 # the largest spec feature_dim: its planted weights take 80 MB
 MAX_FEATURE_DIM = 10**7
@@ -68,6 +65,10 @@ class RoundRecord:
     richness: float
 
 
+def _integer(n: int) -> str:
+    return _echo(str(n), quote=False, noun="an integer")
+
+
 @dataclass(frozen=True, slots=True)
 class SyntheticDecoderSpec:
     """Generator settings for the synthetic decoder.
@@ -90,13 +91,13 @@ class SyntheticDecoderSpec:
 
     def __post_init__(self):
         if self.num_sentences < 1:
-            raise ValueError(f"num_sentences must be >= 1, got {self.num_sentences}")
+            raise ValueError(f"num_sentences must be >= 1, got {_integer(self.num_sentences)}")
         if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
-            raise ValueError(f"feature_dim must be in [1, {MAX_FEATURE_DIM}], got {self.feature_dim}")
+            raise ValueError(f"feature_dim must be in [1, {MAX_FEATURE_DIM}], got {_integer(self.feature_dim)}")
         if not 0 <= self.noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.ref_len < 1:
-            raise ValueError(f"ref_len must be >= 1, got {self.ref_len}")
+            raise ValueError(f"ref_len must be >= 1, got {_integer(self.ref_len)}")
         if not 1 <= self.features_per_hyp <= self.feature_dim:
             raise ValueError("features_per_hyp must be in [1, feature_dim]")
         latent = substream(self.seed, "latent").standard_normal(self.feature_dim)
@@ -123,12 +124,12 @@ def parse_spec(text: str, default_seed: int) -> SyntheticDecoderSpec:
             continue
         name, eq, value = (part.strip() for part in line.partition("="))
         if not eq or not name:
-            raise ParseError(line_no, f"expected <key>=<value>, got {line!r}")
+            raise ParseError(line_no, f"expected <key>=<value>, got {_echo(line, noun='a line')}")
         if name in kwargs:
-            raise ParseError(line_no, f"duplicate key {name!r}")
+            raise ParseError(line_no, f"duplicate key {_echo(name)}")
         kind = SPEC_KEYS.get(name)
         if kind is None:
-            raise DataError(f"unknown spec key {name!r}")
+            raise DataError(f"unknown spec key {_echo(name)}")
         try:
             # int() and float() would also read "1_0" and non-ASCII digits
             if not value.isascii() or "_" in value:
@@ -136,7 +137,7 @@ def parse_spec(text: str, default_seed: int) -> SyntheticDecoderSpec:
             kwargs[name] = kind(value)
         except ValueError:
             noun = "an integer" if kind is int else "a number"
-            raise DataError(f"spec key {name!r} needs {noun}, got {value!r}") from None
+            raise DataError(f"spec key {name!r} needs {noun}, got {_echo(value, noun='a value')}") from None
     required = (f.name for f in fields(SyntheticDecoderSpec) if f.init and f.default is MISSING)
     missing = sorted(set(required) - kwargs.keys())
     if missing:
@@ -175,7 +176,8 @@ def synthetic_decode(
     sids = sorted(refs.by_sent)
     if len(sids) < spec.num_sentences:
         raise DataError(
-            f"references cover {len(sids)} sentences, spec needs {spec.num_sentences}"
+            f"references cover {len(sids)} sentences, spec needs "
+            + _echo(str(spec.num_sentences), quote=False, noun="num_sentences")
         )
     k = spec.features_per_hyp
     lists = []
@@ -219,7 +221,7 @@ def synthetic_decode(
 
 
 class SyntheticDecoder:
-    """DecoderInterface over :func:`synthetic_decode`."""
+    """The decoder :func:`run_tuning` takes, over :func:`synthetic_decode`."""
 
     def __init__(self, spec: SyntheticDecoderSpec, refs: ReferenceSet, size: int):
         self.spec = spec
@@ -250,7 +252,7 @@ def _top1_corpus_bleu(corpus: Corpus, w: np.ndarray, refs: ReferenceSet) -> floa
 
 
 def run_tuning(
-    decoder: DecoderInterface, refs: ReferenceSet, cfg: TuneConfig
+    decoder: Callable[[Mapping[str, float], int], Corpus], refs: ReferenceSet, cfg: TuneConfig
 ) -> tuple[dict[str, float], list[RoundRecord]]:
     """Run up to max_rounds of decode / merge / (resample) / retrain,
     starting from zero weights and an empty pool.
@@ -281,7 +283,7 @@ def run_tuning(
         w_start, _ = weights_vector(named, accumulated.feature_index)
         report = train(accumulated, refs, round_cfg, w_start)
         w = report.final_weights
-        named = {name: float(w[idx]) for name, idx in accumulated.feature_index.items()}
+        named = dict(zip(accumulated.feature_index, w.tolist()))
         records.append(
             RoundRecord(
                 round_idx,

@@ -263,6 +263,11 @@ class TestRerank:
         assert code == 0
         assert "mystery" in stderr and "warning" in stderr
         assert stdout.splitlines()[0].startswith("0 ||| a b")
+        # a long name is named by its length
+        weights.write_text(f"lm\t1.0\n{'x' * 5000}\t9.0\n")
+        code, _, stderr = run(capsys, "rerank", "--nbest", workdir / "nbest.txt", "--weights", weights)
+        assert code == 0
+        assert stderr == "warning: weight feature of 5000 characters not in corpus; ignored\n"
 
     def test_corpus_feature_missing_from_weights_scores_zero(self, workdir, capsys):
         weights = workdir / "weights.txt"
@@ -666,16 +671,27 @@ class TestTuneSim:
             ("feature_dim=1_0", "spec key 'feature_dim' needs an integer, got '1_0'"),
             ("feature_dim=12\nref_len=\u0663", "spec key 'ref_len' needs an integer, got '\u0663'"),
             ("feature_dim=12\nnoise_scale=1_0.5", "spec key 'noise_scale' needs a number, got '1_0.5'"),
+            # a long input is named by its length
+            ("feature_dim=12\nseed=" + "x" * 5000, "spec key 'seed' needs an integer, got a value of 5000 characters"),
+            ("feature_dim=" + "1" * 4000,
+             "bad spec file: feature_dim must be in [1, 10000000], got an integer of 4000 characters"),
+            ("feature_dim=12\nref_len=-" + "1" * 4000,
+             "bad spec file: ref_len must be >= 1, got an integer of 4001 characters"),
+            ("feature_dim=12\n" + "x" * 5000, "line 3: expected <key>=<value>, got a line of 5000 characters"),
+            ("feature_dim=12\n" + "x" * 5000 + "=1", "unknown spec key of 5000 characters"),
         ],
-        ids=["underscore-int", "arabic-indic-int", "underscore-float"],
+        ids=["underscore-int", "arabic-indic-int", "underscore-float", "long-value", "long-feature-dim",
+             "long-negative-ref-len", "long-line", "long-key"],
     )
     def test_spec_values_are_plain_ascii_numbers(self, simdir, capsys, lines, message):
-        # int() and float() would read these as 10, 3 and 10.5
+        # int() and float() would read these as 10, 3 and 10.5; the long inputs
+        # would make lines of thousands of bytes if they were repeated
         (simdir / "spec.txt").write_bytes(f"num_sentences=4\n{lines}\n".encode("utf-8"))
         code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a")
         assert code == 1
         assert stdout == "" and weights == b"" and history == b""
         assert stderr == f"error: {message}\n"
+        assert len(stderr) < 120
 
     def test_spec_errors_come_in_line_order(self, simdir, capsys):
         (simdir / "spec.txt").write_text("num_sentences=4\nwat=1\nseed=3\nseed=4\nfeature_dim=x\n")

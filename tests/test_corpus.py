@@ -32,6 +32,9 @@ SAMPLE = (
     "1 ||| guten tag ||| lm=-1.0 ||| -0.5\n"
 )
 
+# an input too long for an error message to repeat
+LONG = "x" * 5000
+
 
 # every character an N-best token or feature name can carry: no whitespace,
 # no line break and no "|"; a feature name also has no "="
@@ -121,18 +124,39 @@ class TestParseNbest:
             (parse_nbest, "0" + "1" * 4000 + " ||| a ||| f=1.0 ||| 0.0\n",
              "sentence id of 4001 characters is not in canonical form"),
             (parse_refs, "-" + "1" * 4000 + " ||| a\n", "sentence id of 4001 characters is negative"),
+            # so is every other long input a message quotes
+            (parse_nbest, f"0 ||| a ||| {LONG} ||| 0.0\n", "feature of 5000 characters is not <name>=<value>"),
+            (parse_nbest, f"0 ||| a ||| f={LONG} ||| 0.0\n", "feature 'f' value of 5000 characters is not a number"),
+            (parse_nbest, f"0 ||| a ||| f={'9' * 5000} ||| 0.0\n",
+             "feature 'f' value of 5000 characters is not finite"),
+            (parse_nbest, f"0 ||| a ||| {LONG}=1_0 ||| 0.0\n",
+             "feature of 5000 characters value '1_0' is not a number"),
+            (parse_nbest, f"0 ||| a ||| {LONG}=1 {LONG}=2 ||| 0.0\n", "duplicate feature of 5000 characters"),
+            (parse_nbest, f"0 ||| a ||| f=1.0 ||| {LONG}\n", "decoder score of 5000 characters is not a number"),
+            (parse_weights, f"f\t{LONG}\n", "weight 'f' of 5000 characters is not a number"),
+            (parse_weights, f"{LONG}\t1_0\n", "weight of 5000 characters '1_0' is not a number"),
+            # the limit is on the printed form: 32 characters with its quotes
+            (parse_nbest, f"0 ||| a ||| {'x' * 30} ||| 0.0\n",
+             f"feature '{'x' * 30}' is not <name>=<value>"),
+            (parse_nbest, f"0 ||| a ||| {'x' * 31} ||| 0.0\n", "feature of 31 characters is not <name>=<value>"),
         ],
         ids=["underscore-id", "plus-id", "arabic-indic-id", "arabic-indic-ref-id",
              "underscore-value", "arabic-indic-score", "underscore-weight",
              "leading-zero-id", "minus-zero-id", "leading-zero-ref-id", "minus-zero-ref-id",
-             "long-underscore-id", "long-leading-zero-id", "long-negative-ref-id"],
+             "long-underscore-id", "long-leading-zero-id", "long-negative-ref-id",
+             "long-feature-item", "long-feature-value", "long-infinite-feature-value",
+             "long-feature-name-bad-value", "long-duplicate-feature", "long-decoder-score",
+             "long-weight-value", "long-weight-name-bad-value",
+             "item-at-echo-limit", "item-past-echo-limit"],
     )
     def test_ids_and_numbers_are_plain_ascii(self, parse, text, message):
         # int() and float() would read these as 10, 1, 3, 3, 10.5, 3, 10, 7, 0, 7, 0,
-        # 2,001 ones, 4,000 ones and minus 4,000 ones
+        # 2,001 ones, 4,000 ones and minus 4,000 ones; an input longer than 32
+        # printed characters is named by its length, so the message stays one short line
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"line 1: {message}"
+        assert len(str(err.value)) < 120
 
     def test_lines_end_only_at_newline(self):
         # str.splitlines would also break at the form feed and at U+2028
@@ -499,6 +523,9 @@ class TestMerge:
             pool = merge(pool, b)
             # what merge meant before it carried rows: rebuild from the survivors
             assert pool == Corpus.from_lists(dedup(NBestList(s, tuple(h)))[0] for s, h in grouped.items())
+            # == ignores a dict's order; ids go out in insertion order, which
+            # run_tuning relies on to name the weights by zipping the index
+            assert list(pool.feature_index.values()) == list(range(len(pool.feature_index)))
             assert len(pool.rows) == len(pool.lists)
             for lst, rows in zip(pool.lists, pool.rows):
                 expected = feature_matrix(lst, pool.feature_index)
@@ -569,6 +596,9 @@ class TestRows:
         lists = (NBestList(4, (hyp(4, "a", {"f": 1.0, "g": 2.0}),)),)
         with pytest.raises(DataError, match="^sentence 4: feature 'g' is not in the feature index$"):
             Corpus(lists, {"f": 0})
+        lists = (NBestList(4, (hyp(4, "a", {"f": 1.0, LONG: 2.0}),)),)
+        with pytest.raises(DataError, match="^sentence 4: feature of 5000 characters is not in the feature index$"):
+            Corpus(lists, {"f": 0})
 
 
 class TestRefs:
@@ -611,6 +641,8 @@ class TestWeightsFiles:
             parse_weights("lm\tx\n")
         with pytest.raises(ParseError):
             parse_weights("lm\t1.0\nlm\t2.0\n")
+        with pytest.raises(ParseError, match="^line 2: duplicate feature of 5000 characters$"):
+            parse_weights(f"{LONG}\t1.0\n{LONG}\t2.0\n")
 
 
 # well-formed lines of every input format, for the CRLF property below

@@ -42,6 +42,7 @@ class TestLbfgs:
         w_star = np.arange(10.0)
         report = lbfgs_maximize(quadratic(w_star), np.zeros(10), TrainConfig())
         assert report.converged
+        assert report.stop_reason == "converged"
         assert report.iterations_used <= 2
         np.testing.assert_allclose(report.final_weights, w_star, atol=1e-8)
 
@@ -70,9 +71,12 @@ class TestLbfgs:
         assert report.history[0][0] == 0
 
     def test_max_iters_one_takes_exactly_one_step(self):
-        report = lbfgs_maximize(quadratic(np.ones(6) * 3), np.zeros(6), TrainConfig(max_iters=1))
+        # a scaled quadratic: the unit first step leaves it short of the optimum,
+        # so the cap, not convergence, ends the run
+        report = lbfgs_maximize(quadratic(np.ones(6) * 3, scale=0.3), np.zeros(6), TrainConfig(max_iters=1))
         assert report.iterations_used == 1
         assert len(report.history) == 2
+        assert report.stop_reason == "max_iters" and not report.converged
 
     def test_history_objectives_non_decreasing(self):
         rng = np.random.default_rng(4)
@@ -93,6 +97,8 @@ class TestLbfgs:
             lambda w: (float(w.sum()), np.ones_like(w)), np.zeros(3), TrainConfig()
         )
         assert not report.converged
+        assert report.stop_reason == "line_search_failed"
+        assert report.iterations_used == 0
 
     def test_non_finite_objective_names_iteration(self):
         def bad(w):
@@ -135,7 +141,11 @@ class TestLbfgs:
         # the loop stops at the first row at or below grad_tol, and only there
         assert all(norm > grad_tol for norm in norms[:-1])
         assert report.converged == (norms[-1] <= grad_tol)
-        if report.converged:
+        if not report.converged:
+            stopped_by = "max_iters" if iterations[-1] == max_iters else "line_search_failed"
+            assert report.stop_reason == stopped_by
+        else:
+            assert report.stop_reason == "converged"
             # |w - w*|_2 <= |H^-1|_2 |g|_2 <= sqrt(n) |g|_inf / min(eigs)
             bound = np.sqrt(n) * grad_tol / eigs.min() * (1 + 1e-6) + 1e-9
             assert np.abs(report.final_weights - np.linalg.solve(hess, b)).max() <= bound

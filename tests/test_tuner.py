@@ -23,7 +23,7 @@ from plrank.corpus import (
     weights_vector,
     write_nbest,
 )
-from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig
+from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig, train
 from plrank.tuner import (
     SyntheticDecoder,
     SyntheticDecoderSpec,
@@ -201,8 +201,12 @@ class TestSyntheticDecode:
     def test_requires_enough_references(self):
         spec = small_spec(num_sentences=10)
         refs = synthetic_references(small_spec(num_sentences=2))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^references cover 2 sentences, spec needs 10$"):
             synthetic_decode(spec, refs, {}, 1, 5)
+        # a count too long to repeat is named by its length
+        message = "^references cover 2 sentences, spec needs num_sentences of 4000 characters$"
+        with pytest.raises(DataError, match=message):
+            synthetic_decode(small_spec(num_sentences=10**3999), refs, {}, 1, 5)
 
     @pytest.mark.parametrize("kw, digest", PINNED_DECODES)
     def test_bytes_are_pinned(self, kw, digest):
@@ -362,6 +366,26 @@ class TestRunTuning:
         report = train(corpus, refs, round_cfg)
         w, _ = weights_vector(named, corpus.feature_index)
         np.testing.assert_array_equal(w, report.final_weights)
+
+    def test_weights_are_the_last_rounds_by_name_in_index_order(self, monkeypatch):
+        import plrank.tuner
+
+        trained = []
+
+        def recording_train(corpus, refs, cfg, w0=None):
+            report = train(corpus, refs, cfg, w0)
+            trained.append((corpus, report))
+            return report
+
+        monkeypatch.setattr(plrank.tuner, "train", recording_train)
+        spec = small_spec()
+        refs = synthetic_references(spec)
+        named, records = run_tuning(SyntheticDecoder(spec, refs, 12), refs, tune_cfg(max_rounds=3))
+        assert len(records) == len(trained) == 3
+        corpus, report = trained[-1]
+        index = corpus.feature_index
+        assert list(named) == sorted(index, key=index.get)
+        assert named == {name: float(report.final_weights[i]) for name, i in index.items()}
 
     def test_work_scales_with_fresh_hypotheses(self, monkeypatch):
         # each decoded hypothesis gets its feature row once, when its round's
