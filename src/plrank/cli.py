@@ -210,6 +210,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # stdout is UTF-8 whatever the locale, like every file plrank writes
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

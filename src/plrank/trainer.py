@@ -3,7 +3,9 @@
 ``train`` turns a corpus plus references into ranked-prefix instances
 (deduplicating each list, optionally resampling it down to a fixed size)
 and maximizes the penalized listwise likelihood with a two-loop-recursion
-L-BFGS using a strong-Wolfe line search.
+L-BFGS whose steps come from Armijo backtracking.  The objective is concave,
+so every curvature pair has ``s.y >= 0`` without a Wolfe curvature test; the
+recursion keeps only pairs with ``s.y`` clearly positive.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .corpus import (
 from .likelihood import PLInstance, make_evaluator
 from .rng import substream
 
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
-# objective evaluations allowed to a line search's bracketing and to its zoom
+# sufficient-increase constant of the Armijo test
+ARMIJO_C1 = 1e-4
+# trial steps 1, 1/2, 1/4, ... one line search may evaluate before it fails
 LINE_SEARCH_EVALS = 25
 # curvature pairs kept by the two-loop recursion
 LBFGS_MEMORY = 10
@@ -77,12 +79,14 @@ class TrainReport:
     the starting point (iteration 0) and every accepted step; objectives
     are non-decreasing along it.  ``stop_reason`` says why the run ended:
     ``converged`` (grad norm at most ``grad_tol``), ``max_iters`` or
-    ``line_search_failed``.
+    ``line_search_failed``.  ``evaluations`` counts the objective/gradient
+    calls, the starting point's included.
     """
 
     final_weights: np.ndarray
     history: list[tuple[int, float, float]]
     stop_reason: str
+    evaluations: int
 
     @property
     def converged(self) -> bool:
@@ -133,68 +137,6 @@ def _two_loop(pairs: deque[tuple[np.ndarray, np.ndarray, float]], g: np.ndarray)
     return q
 
 
-def _cubic_step(a, fa, da, b, fb, db) -> float:
-    # minimizer of the cubic interpolant; safeguarded to the middle 80% of
-    # the bracket, else bisection
-    lo, hi = (a, b) if a < b else (b, a)
-    width = hi - lo
-    mid = 0.5 * (lo + hi)
-    if width <= 0:
-        return mid
-    d1 = da + db - 3 * (fa - fb) / (a - b)
-    disc = d1 * d1 - da * db
-    if disc < 0:
-        return mid
-    d2 = math.copysign(math.sqrt(disc), b - a)
-    denom = db - da + 2 * d2
-    if denom == 0:
-        return mid
-    c = b - (b - a) * (db + d2 - d1) / denom
-    if not math.isfinite(c) or c < lo + 0.1 * width or c > hi - 0.1 * width:
-        return mid
-    return c
-
-
-def _wolfe_search(phi, phi0: float, dphi0: float):
-    """Strong-Wolfe line search (bracket then zoom), initial step 1.
-
-    ``phi(alpha)`` returns (value, slope, payload) of the negated objective
-    along the ray.  Returns the accepted payload or None on failure.
-    """
-
-    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
-        best = None
-        for _ in range(LINE_SEARCH_EVALS):
-            alpha = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
-            if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
-                return best
-            f_a, d_a, payload = phi(alpha)
-            if f_a > phi0 + WOLFE_C1 * alpha * dphi0 or f_a >= f_lo:
-                a_hi, f_hi, d_hi = alpha, f_a, d_a
-            else:
-                if abs(d_a) <= -WOLFE_C2 * dphi0:
-                    return payload
-                best = payload  # sufficient decrease at least
-                if d_a * (a_hi - a_lo) >= 0:
-                    a_hi, f_hi, d_hi = a_lo, f_lo, d_lo
-                a_lo, f_lo, d_lo = alpha, f_a, d_a
-        return best
-
-    a_prev, f_prev, d_prev = 0.0, phi0, dphi0
-    alpha = 1.0
-    for i in range(LINE_SEARCH_EVALS):
-        f_a, d_a, payload = phi(alpha)
-        if f_a > phi0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
-            return zoom(a_prev, f_prev, d_prev, alpha, f_a, d_a)
-        if abs(d_a) <= -WOLFE_C2 * dphi0:
-            return payload
-        if d_a >= 0:
-            return zoom(alpha, f_a, d_a, a_prev, f_prev, d_prev)
-        a_prev, f_prev, d_prev = alpha, f_a, d_a
-        alpha *= 2.0
-    return None
-
-
 def lbfgs_maximize(
     f_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     w0: np.ndarray,
@@ -209,6 +151,7 @@ def lbfgs_maximize(
     """
     w = np.array(w0, dtype=float, copy=True)
     f, g = _checked(f_and_grad, w, 0)
+    evaluations = 1
     history: list[tuple[int, float, float]] = [(0, f, _inf_norm(g))]
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=LBFGS_MEMORY)
 
@@ -217,16 +160,18 @@ def lbfgs_maximize(
         if g @ p <= 0:  # not an ascent direction; fall back to steepest ascent
             pairs.clear()
             p = g
-
-        def phi(alpha, _w=w, _p=p, _it=history[-1][0]):
-            w_a = _w + alpha * _p
-            f_a, g_a = _checked(f_and_grad, w_a, _it + 1)
-            return -f_a, -(g_a @ _p), (w_a, f_a, g_a)
-
-        accepted = _wolfe_search(phi, -f, -(g @ p))
-        if accepted is None:
-            break
-        w_new, f_new, g_new = accepted
+        slope = g @ p
+        # backtracking (Nocedal & Wright, Algorithm 3.1): the first of the
+        # steps 1, 1/2, 1/4, ... that increases f enough is taken
+        for trial in range(LINE_SEARCH_EVALS):
+            alpha = 0.5**trial
+            w_new = w + alpha * p
+            f_new, g_new = _checked(f_and_grad, w_new, history[-1][0] + 1)
+            evaluations += 1
+            if f_new >= f + ARMIJO_C1 * alpha * slope:
+                break
+        else:
+            break  # the line search failed: no trial step increased f enough
         s = w_new - w
         y = g - g_new  # curvature pair of the negated objective
         sy = float(s @ y)
@@ -242,7 +187,7 @@ def lbfgs_maximize(
         stop_reason = "max_iters"
     else:
         stop_reason = "line_search_failed"
-    return TrainReport(w, history, stop_reason)
+    return TrainReport(w, history, stop_reason, evaluations)
 
 
 def _resample_indices(

@@ -299,6 +299,23 @@ class TestRerank:
         assert stdout == ""
         assert stderr == "error: sentence 0: model score is not finite\n"
 
+    def test_output_is_utf8_whatever_the_locale(self, workdir, capsys):
+        # under the C locale sys.stdout is ASCII and could not print "tm€"
+        (workdir / "nbest.txt").write_bytes(NBEST.replace("tm=", "tm\u20ac=").encode("utf-8"))
+        (workdir / "weights.txt").write_bytes("lm\t1.0\ntm\u20ac\t-1.0\n".encode("utf-8"))
+        argv = ["rerank", "--nbest", workdir / "nbest.txt", "--weights", workdir / "weights.txt", "--top", 3]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        result = subprocess.run(
+            [sys.executable, "-m", "plrank.cli", *map(str, argv)], env=env, capture_output=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == stdout.encode("utf-8")
+        assert b"tm\xe2\x82\xac=" in result.stdout
+
     def test_zero_top_is_usage_error(self, workdir, capsys):
         (workdir / "weights.txt").write_text("lm\t1.0\n")
         code, stdout, stderr = run(
@@ -501,12 +518,13 @@ class TestRichness:
 
 
 # history.csv of `run_tune(..., extra=("--resample-m", 8), rounds=3)`,
-# recorded before reference profiles were shared across rounds
+# its BLEU, size and richness columns recorded before reference profiles were
+# shared across rounds, its objectives since the Armijo line search
 GOLDEN_TUNE_HISTORY = (
     b"round,dev_bleu,objective,corpus_size,richness\r\n"
-    b"1,100.0,-10.761828922466059,40,1.2\r\n"
-    b"2,93.60202265123498,-14.810083484535655,76,0.631578947368421\r\n"
-    b"3,77.60146914968043,-15.625731629252199,112,0.42857142857142855\r\n"
+    b"1,100.0,-10.761828922466112,40,1.2\r\n"
+    b"2,93.60202265123498,-14.810083484535621,76,0.631578947368421\r\n"
+    b"3,77.60146914968043,-15.625731629252154,112,0.42857142857142855\r\n"
 )
 
 

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from plrank.bleu import ReferenceStats, sentence_bleu
 from plrank.corpus import (
@@ -19,6 +21,7 @@ from plrank.corpus import (
     feature_matrix,
     parse_nbest,
 )
+from plrank.likelihood import PLInstance, make_evaluator
 from plrank.trainer import (
     TrainConfig,
     build_instances,
@@ -92,13 +95,24 @@ class TestLbfgs:
         assert report.history[-1][2] <= 1e-6  # converged gradient norm
 
     def test_line_search_failure_reports_not_converged(self):
-        # unbounded linear objective: no step can satisfy the curvature condition
+        # the reported gradient is an ascent direction for no positive step:
+        # f falls along it, so no trial step passes the sufficient-increase test
         report = lbfgs_maximize(
-            lambda w: (float(w.sum()), np.ones_like(w)), np.zeros(3), TrainConfig()
+            lambda w: (-float(w @ w), np.ones_like(w)), np.zeros(3), TrainConfig()
         )
         assert not report.converged
         assert report.stop_reason == "line_search_failed"
         assert report.iterations_used == 0
+
+    def test_unbounded_linear_objective_runs_to_the_cap(self):
+        # every unit step passes; y = 0, so no curvature pair is kept
+        report = lbfgs_maximize(
+            lambda w: (float(w.sum()), np.ones_like(w)), np.zeros(3), TrainConfig(max_iters=20)
+        )
+        objs = [obj for _, obj, _ in report.history]
+        assert report.stop_reason == "max_iters" and report.iterations_used == 20
+        assert all(b >= a for a, b in zip(objs, objs[1:]))
+        assert report.evaluations == 21
 
     def test_non_finite_objective_names_iteration(self):
         def bad(w):
@@ -129,11 +143,16 @@ class TestLbfgs:
         hess = basis @ np.diag(eigs) @ basis.T
         b = rng.standard_normal(n) * 3
 
+        calls = 0
+
         def f_and_grad(w):
+            nonlocal calls
+            calls += 1
             return float(b @ w - 0.5 * (w @ hess @ w)), b - hess @ w
 
         cfg = TrainConfig(max_iters=max_iters, grad_tol=grad_tol)
         report = lbfgs_maximize(f_and_grad, rng.standard_normal(n), cfg)
+        assert report.evaluations == calls
         iterations, objs, norms = zip(*report.history)
         assert all(later >= earlier for earlier, later in zip(objs, objs[1:]))
         assert iterations == tuple(range(len(report.history)))
@@ -149,6 +168,36 @@ class TestLbfgs:
             # |w - w*|_2 <= |H^-1|_2 |g|_2 <= sqrt(n) |g|_inf / min(eigs)
             bound = np.sqrt(n) * grad_tol / eigs.min() * (1 + 1e-6) + 1e-9
             assert np.abs(report.final_weights - np.linalg.solve(hess, b)).max() <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_listwise_optimum_matches_scipy(self, data):
+        # the oracle: scipy's L-BFGS-B on the negated objective.  The objective
+        # is l2_scale-strongly concave, so a point whose gradient has inf-norm
+        # at most grad_tol is within F grad_tol^2 / (2 l2_scale) of the optimum
+        n_features = data.draw(st.integers(1, 6), label="n_features")
+        l2_scale = data.draw(st.floats(0.1, 2.0), label="l2_scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        instances = []
+        for sid in range(data.draw(st.integers(1, 6), label="lists")):
+            size = int(rng.integers(2, 9))
+            k = int(rng.integers(1, size + 1))
+            rows = sp.csr_matrix(rng.standard_normal((size, n_features)) * 2)
+            instances.append(PLInstance(sid, rows, rng.permutation(size)[:k]))
+        evaluate = make_evaluator(instances, l2_scale)
+        cfg = TrainConfig()
+        report = lbfgs_maximize(evaluate, np.zeros(n_features), cfg)
+        assert report.converged
+
+        def negated(w):
+            value, grad = evaluate(w)
+            return -value, -grad
+
+        oracle = minimize(negated, np.zeros(n_features), jac=True, method="L-BFGS-B",
+                          options=dict(gtol=1e-12, ftol=1e-15, maxiter=1000))
+        gap = n_features * cfg.grad_tol**2 / (2 * l2_scale)
+        slack = 1e-12 * (1 + abs(oracle.fun))
+        assert report.final_objective >= -oracle.fun - gap - slack
 
     def test_config_validation(self):
         for bad in [
