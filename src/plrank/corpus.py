@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bleu import BleuStats, ReferenceStats, corpus_bleu
 
@@ -72,6 +71,56 @@ class NBestList:
         return len(self.hypotheses)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Rows:
+    """Feature rows in compressed sparse row (CSR) form, its arrays named as
+    in scipy: row i has the values ``data[indptr[i]:indptr[i + 1]]`` in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, and ``shape`` is (rows,
+    columns).  A row keeps its columns in the order given, which is the
+    order ``rows @ w`` adds them in."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """Each row's products with ``w`` summed from 0.0 in column order,
+        as scipy's CSR matvec adds them, so both give the same bits; an
+        overflow is left as inf or NaN for the caller to check."""
+        if w.shape != (self.shape[1],):
+            raise ValueError(f"weights of shape {w.shape} for rows of shape {self.shape}")
+        row_of_entry = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = self.data * w[self.indices]
+        # with no entry at all, bincount gives int64 zeros
+        return np.bincount(row_of_entry, products, minlength=self.shape[0]).astype(float, copy=False)
+
+    def __getitem__(self, rows: Sequence[int] | np.ndarray) -> "Rows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        entries = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Rows(self.data[entries], self.indices[entries], indptr, (rows.size, self.shape[1]))
+
+    @staticmethod
+    def stack(blocks: Sequence["Rows"]) -> "Rows":
+        """The blocks' rows one after another.  A block may be any CSR
+        matrix with these four attributes, such as scipy's; raises
+        ValueError if the blocks differ in column count."""
+        columns = {block.shape[1] for block in blocks}
+        if len(columns) != 1:
+            raise ValueError(f"blocks to stack have {len(columns)} column counts, not 1")
+        lengths = np.concatenate([np.diff(block.indptr) for block in blocks])
+        return Rows(
+            np.concatenate([block.data for block in blocks]),
+            np.concatenate([block.indices for block in blocks]),
+            np.concatenate([[0], np.cumsum(lengths)]),
+            (lengths.size, columns.pop()),
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Corpus:
     """A set of N-best lists plus the name <-> dense-index feature bijection.
@@ -79,7 +128,7 @@ class Corpus:
     ``feature_index`` maps each feature name appearing anywhere in the
     corpus to a 0-based dense index, assigned in first-appearance order.
 
-    ``rows`` holds one CSR block per list, array for array what
+    ``rows`` holds one :class:`Rows` block per list, array for array what
     :func:`feature_matrix` gives for the list.  The blocks are built once,
     when the corpus is made; :func:`merge` carries them into the merged
     corpus, and training and reranking read them.  Raises DataError if a
@@ -89,7 +138,7 @@ class Corpus:
 
     lists: tuple[NBestList, ...]
     feature_index: dict[str, int]
-    rows: tuple[sp.csr_matrix, ...] = field(default=None, compare=False, repr=False)
+    rows: tuple[Rows, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows is None:
@@ -314,7 +363,7 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     mapped to the merged index.
     """
     # one column space: a's columns, then b's shifted past them
-    grouped: dict[int, list[tuple[NBestList, sp.csr_matrix, int]]] = {}
+    grouped: dict[int, list[tuple[NBestList, Rows, int]]] = {}
     for corpus, shift in ((a, 0), (b, len(a.feature_index))):
         for lst, rows in zip(corpus.lists, corpus.rows):
             grouped.setdefault(lst.sent_id, []).append((lst, rows, shift))
@@ -357,14 +406,13 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     for lst in lists:
         end = start + len(lst.hypotheses)
         lo, hi = indptr[start], indptr[end]
-        block = (data[lo:hi], cols[lo:hi], indptr[start : end + 1] - lo)
-        blocks.append(sp.csr_matrix(block, shape=(end - start, len(index))))
+        blocks.append(Rows(data[lo:hi], cols[lo:hi], indptr[start : end + 1] - lo, (end - start, len(index))))
         start = end
     return Corpus(tuple(lists), index, tuple(blocks))
 
 
-def feature_matrix(lst: NBestList, feature_index: Mapping[str, int]) -> sp.csr_matrix:
-    """The list's N x F CSR matrix of dense indices: row i is the feature
+def feature_matrix(lst: NBestList, feature_index: Mapping[str, int]) -> Rows:
+    """The list's N x F rows of dense indices: row i is the feature
     vector of hypothesis i, its columns in the order of its ``features``.
 
     Raises DataError naming the sentence and the first feature, in scan
@@ -379,13 +427,13 @@ def feature_matrix(lst: NBestList, feature_index: Mapping[str, int]) -> sp.csr_m
         raise DataError(f"sentence {lst.sent_id}: feature {_echo(name)} is not in the feature index")
     lengths = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
     indptr = np.concatenate([[0], np.cumsum(lengths)])
-    return sp.csr_matrix((data, cols, indptr), shape=(len(features), len(feature_index)))
+    return Rows(data, cols, indptr, (len(features), len(feature_index)))
 
 
-def model_scores(matrix: sp.csr_matrix, w: np.ndarray, sent_id: int) -> np.ndarray:
-    """One list's linear model scores ``matrix @ w`` as a flat array; raises
-    DataError naming the sentence if a score overflows or is NaN."""
-    scores = np.asarray(matrix @ w).ravel()
+def model_scores(matrix: Rows, w: np.ndarray, sent_id: int) -> np.ndarray:
+    """One list's linear model scores ``matrix @ w``; raises DataError
+    naming the sentence if a score overflows or is NaN."""
+    scores = matrix @ w
     if not np.all(np.isfinite(scores)):
         raise DataError(f"sentence {sent_id}: model score is not finite")
     return scores
@@ -420,12 +468,9 @@ def weights_vector(
     Returns the dense vector (features missing from ``named`` get 0) and
     the list of names in ``named`` that the index does not know.
     """
+    ids = np.fromiter(map(feature_index.get, named, repeat(-1)), dtype=np.int64, count=len(named))
+    values = np.fromiter(named.values(), dtype=float, count=len(named))
+    known = ids >= 0
     w = np.zeros(len(feature_index))
-    unknown: list[str] = []
-    for name, value in named.items():
-        idx = feature_index.get(name)
-        if idx is None:
-            unknown.append(name)
-        else:
-            w[idx] = value
-    return w, unknown
+    w[ids[known]] = values[known]
+    return w, list(compress(named, (~known).tolist()))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bleu import ground_truth_ranking
 from .corpus import (
@@ -24,6 +23,7 @@ from .corpus import (
     DataError,
     NBestList,
     ReferenceSet,
+    Rows,
     dedup,
     feature_matrix,
     model_scores,
@@ -191,7 +191,7 @@ def lbfgs_maximize(
 
 
 def _resample_indices(
-    bleus: np.ndarray, m: int, matrix: sp.csr_matrix, w: np.ndarray, rng_seed: int, sent_id: int
+    bleus: np.ndarray, m: int, matrix: Rows, w: np.ndarray, rng_seed: int, sent_id: int
 ) -> np.ndarray:
     """Indices (in original order) of the m < len(bleus) hypotheses kept by
     resampling; draws follow exp(matrix @ w) on the stream of (rng_seed,

@@ -517,6 +517,50 @@ class TestRichness:
         assert "empty" in stderr
 
 
+def run_python(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports plrank from this checkout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True, timeout=120)
+
+
+# ``main`` in an interpreter where every ``import scipy`` raises ImportError
+BLOCKED_MAIN = 'import sys; sys.modules["scipy"] = None; from plrank.cli import main; sys.exit(main(sys.argv[1:]))'
+
+
+class TestWithoutScipy:
+    # only a training run's likelihood evaluator imports scipy
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        result = run_python("import sys, plrank.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rerank", "--nbest", "nbest.txt", "--weights", "weights.txt", "--top", 2),
+            ("evaluate", "--hyp", "nbest.txt", "--refs", "refs.txt"),
+            ("richness", "--nbest", "nbest.txt"),
+        ],
+    )
+    def test_commands_run_with_scipy_blocked(self, workdir, capsys, argv):
+        (workdir / "weights.txt").write_text("lm\t2.0\ntm\t-1.0\n")
+        argv = [workdir / a if str(a).endswith(".txt") else a for a in argv]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        result = run_python(BLOCKED_MAIN, *argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == stdout.encode()
+
+    def test_the_block_stops_training(self, workdir):
+        # the control for the test above: training builds the evaluator
+        result = run_python(BLOCKED_MAIN, "train", "--nbest", workdir / "nbest.txt", "--refs", workdir / "refs.txt",
+                            "--out", workdir / "w.txt")
+        assert result.returncode != 0
+        assert b"ModuleNotFoundError" in result.stderr and b"scipy" in result.stderr
+
+
 # history.csv of `run_tune(..., extra=("--resample-m", 8), rounds=3)`,
 # its BLEU, size and richness columns recorded before reference profiles were
 # shared across rounds, its objectives since the Armijo line search

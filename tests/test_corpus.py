@@ -1,7 +1,10 @@
 """Data model and file-format tests: parsing, round-trips, dedup, merge."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +14,14 @@ from plrank.corpus import (
     Hypothesis,
     NBestList,
     ParseError,
+    Rows,
     _parse_number,
     _records,
     dedup,
     feature_matrix,
     format_weights,
     merge,
+    model_scores,
     parse_first_hypotheses,
     parse_nbest,
     parse_refs,
@@ -34,6 +39,11 @@ SAMPLE = (
 
 # an input too long for an error message to repeat
 LONG = "x" * 5000
+
+
+def dense(rows):
+    """A Rows block as a dense array, read by scipy as the oracle."""
+    return sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape).toarray()
 
 
 # every character an N-best token or feature name can carry: no whitespace,
@@ -80,7 +90,7 @@ class TestParseNbest:
 
     def test_absent_features_are_zero_in_matrix(self):
         corpus = parse_nbest(SAMPLE)
-        matrix = feature_matrix(corpus.lists[0], corpus.feature_index).toarray()
+        matrix = dense(feature_matrix(corpus.lists[0], corpus.feature_index))
         np.testing.assert_array_equal(matrix[0], [-2.5, 0.4, 0.0])
         np.testing.assert_array_equal(matrix[1], [-3.0, 0.0, 2.0])
 
@@ -539,7 +549,7 @@ class TestMerge:
         b = Corpus((NBestList(1, (hyp(1, "y", {"g": 5.0}),)),), {"g": 0})
         out = merge(a, b)
         assert out.feature_index == {"f": 0, "g": 1}
-        assert [m.toarray().tolist() for m in out.rows] == [[[1.0, 2.0]], [[0.0, 5.0]]]
+        assert [dense(m).tolist() for m in out.rows] == [[[1.0, 2.0]], [[0.0, 5.0]]]
 
     def test_merge_keeps_rows_of_hypotheses_it_keeps(self):
         # b's copy of "x" is dropped with its row, and so is the name only it has
@@ -547,7 +557,7 @@ class TestMerge:
         b = parse_nbest("1 ||| y ||| g=2.0 ||| 0.0\n0 ||| x ||| h=9.0 ||| 0.0\n0 ||| z ||| g=3.0 f=4.0 ||| 0.0\n")
         out = merge(a, b)
         assert out.feature_index == {"f": 0, "g": 1}
-        assert [m.toarray().tolist() for m in out.rows] == [[[1.0, 0.0], [4.0, 3.0]], [[0.0, 2.0]]]
+        assert [dense(m).tolist() for m in out.rows] == [[[1.0, 0.0], [4.0, 3.0]], [[0.0, 2.0]]]
         assert out.rows[0].indices.tolist() == [0, 1, 0]
 
 
@@ -583,7 +593,7 @@ class TestRows:
     def test_one_block_per_list_built_with_the_corpus(self):
         corpus = parse_nbest(SAMPLE)
         assert [m.shape for m in corpus.rows] == [(2, 3), (1, 3)]
-        np.testing.assert_array_equal(corpus.rows[0].toarray(), [[-2.5, 0.4, 0.0], [-3.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(dense(corpus.rows[0]), [[-2.5, 0.4, 0.0], [-3.0, 0.0, 2.0]])
         assert Corpus((), {}).rows == ()
 
     def test_rows_take_no_part_in_comparison_or_repr(self):
@@ -599,6 +609,78 @@ class TestRows:
         lists = (NBestList(4, (hyp(4, "a", {"f": 1.0, LONG: 2.0}),)),)
         with pytest.raises(DataError, match="^sentence 4: feature of 5000 characters is not in the feature index$"):
             Corpus(lists, {"f": 0})
+
+
+# magnitudes from 1e-5 to 1e5 of either sign, and zeros of both signs
+CSR_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-5, 5)),
+)
+
+
+@st.composite
+def csr_blocks(draw, columns, max_rows=5):
+    """A Rows block and the scipy CSR matrix of the same arrays: rows may be
+    empty, and a row's columns come in any order."""
+    rows = draw(st.lists(st.lists(st.integers(0, columns - 1), unique=True, max_size=columns), max_size=max_rows))
+    indices = [c for row in rows for c in row]
+    data = draw(st.lists(CSR_VALUE, min_size=len(indices), max_size=len(indices)))
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    block = Rows(np.array(data, dtype=float), np.array(indices, dtype=np.int64), indptr, (len(rows), columns))
+    return block, sp.csr_matrix((block.data, block.indices, indptr), shape=block.shape)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_rows(rows, matrix):
+    return (
+        rows.shape == matrix.shape
+        and rows.indptr.tolist() == matrix.indptr.tolist()
+        and rows.indices.tolist() == matrix.indices.tolist()
+        and same_bits(rows.data, matrix.data)
+    )
+
+
+class TestRowsMatchScipy:
+    @settings(max_examples=200)
+    @given(st.integers(1, 6).flatmap(lambda f: st.tuples(csr_blocks(f), st.lists(CSR_VALUE, min_size=f, max_size=f))))
+    def test_matvec_bits(self, case):
+        (rows, matrix), w = case
+        w = np.array(w)
+        assert same_bits(rows @ w, matrix @ w)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6).flatmap(csr_blocks), st.data())
+    def test_row_selection(self, block, data):
+        rows, matrix = block
+        # any order, repeats allowed, and no row at all
+        picked = data.draw(st.lists(st.integers(0, rows.shape[0] - 1), max_size=6) if rows.shape[0] else st.just([]))
+        assert same_rows(rows[picked], matrix[np.array(picked, dtype=np.intp)])
+        assert same_rows(rows[np.array(picked, dtype=np.int64)], matrix[np.array(picked, dtype=np.intp)])
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6).flatmap(lambda f: st.lists(csr_blocks(f), min_size=1, max_size=4)))
+    def test_stacking(self, blocks):
+        expected = sp.vstack([matrix for _, matrix in blocks], format="csr")
+        assert same_rows(Rows.stack([rows for rows, _ in blocks]), expected)
+        # a scipy block is read by its four attributes
+        assert same_rows(Rows.stack([matrix for _, matrix in blocks]), expected)
+
+    def test_blocks_and_weights_must_fit(self):
+        with pytest.raises(ValueError, match="^blocks to stack have 2 column counts, not 1$"):
+            Rows.stack([sp.csr_matrix((1, 2)), sp.csr_matrix((1, 3))])
+        rows = feature_matrix(parse_nbest(SAMPLE).lists[0], {"lm": 0, "tm": 1, "wp": 2})
+        with pytest.raises(ValueError, match=r"^weights of shape \(2,\) for rows of shape \(2, 3\)$"):
+            rows @ np.ones(2)
+
+    def test_overflowing_score_is_a_data_error_without_a_warning(self):
+        rows = feature_matrix(parse_nbest("3 ||| a ||| f=1e308 ||| 0\n").lists[0], {"f": 0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^sentence 3: model score is not finite$"):
+                model_scores(rows, np.array([10.0]), 3)
 
 
 class TestRefs:
@@ -633,6 +715,23 @@ class TestWeightsFiles:
         w, unknown = weights_vector({"lm": 2.0, "zz": 1.0}, {"lm": 0, "tm": 1})
         np.testing.assert_array_equal(w, [2.0, 0.0])
         assert unknown == ["zz"]
+
+    @given(
+        st.dictionaries(st.sampled_from("abcdefgh"), st.floats(allow_nan=False), max_size=8),
+        st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=8),
+    )
+    def test_vector_matches_the_per_name_loop(self, named, names):
+        index = {name: i for i, name in enumerate(reversed(names))}
+        w, unknown = weights_vector(named, index)
+        expected = np.zeros(len(index))
+        expected_unknown = []
+        for name, value in named.items():
+            if name in index:
+                expected[index[name]] = value
+            else:
+                expected_unknown.append(name)
+        assert same_bits(w, expected)
+        assert unknown == expected_unknown
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
