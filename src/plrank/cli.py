@@ -203,8 +203,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # ParseError and DataError are ValueErrors
-    except (OSError, ValueError) as err:
+    # ParseError and DataError are ValueErrors; an allocation numpy refuses
+    # is a MemoryError
+    except (OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

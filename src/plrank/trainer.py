@@ -194,9 +194,9 @@ def _resample_indices(
     bleus: np.ndarray, m: int, matrix: Rows, w: np.ndarray, rng_seed: int, sent_id: int
 ) -> np.ndarray:
     """Indices (in original order) of the m < len(bleus) hypotheses kept by
-    resampling; draws follow exp(matrix @ w) on the stream of (rng_seed,
-    sent_id).  Raises DataError naming the sentence if a score overflows or
-    is NaN."""
+    resampling; the draws follow exp(matrix @ w) without replacement, by
+    Gumbel-top-k on the stream of (rng_seed, sent_id).  Raises DataError
+    naming the sentence if a score overflows or is NaN."""
     n = len(bleus)
     scores = model_scores(matrix, w, sent_id)
     rng = substream(rng_seed, RESAMPLE_PURPOSE, sent_id)
@@ -207,14 +207,10 @@ def _resample_indices(
     ascending = np.argsort(bleus, kind="stable")
     keep[ascending[~keep[ascending]][:take]] = True
     pool = np.flatnonzero(~keep)
-    # sequential draws without replacement, proportional to exp(score); each
-    # draw weighs the remaining pool against its own maximum, so the largest
-    # weight is 1 and the others cannot all underflow to a zero sum
-    for _ in range(m - 2 * take):
-        weight = np.exp(scores[pool] - scores[pool].max())
-        j = rng.choice(len(pool), p=weight / weight.sum())
-        keep[pool[j]] = True
-        pool = np.delete(pool, j)
+    # the largest of score + Gumbel noise follow the law of sequential draws
+    # without replacement proportional to exp(score), with no exp to underflow
+    keys = scores[pool] + rng.gumbel(size=pool.size)
+    keep[pool[np.argsort(-keys, kind="stable")[: m - 2 * take]]] = True
     return np.flatnonzero(keep)
 
 
@@ -227,7 +223,8 @@ def resample(
     rng_seed: int,
 ) -> NBestList:
     """Shrink a list to m hypotheses: floor(m/3) best by BLEU, floor(m/3)
-    worst, and the rest drawn from the remainder proportional to exp(h.w).
+    worst, and the rest drawn from the remainder without replacement,
+    proportional to exp(h.w), as the largest h.w plus Gumbel noise.
 
     Returns the list itself, before building any feature row, when m >=
     its size; otherwise original relative order is preserved.  The stream

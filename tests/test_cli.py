@@ -561,14 +561,16 @@ class TestWithoutScipy:
         assert b"ModuleNotFoundError" in result.stderr and b"scipy" in result.stderr
 
 
-# history.csv of `run_tune(..., extra=("--resample-m", 8), rounds=3)`,
-# its BLEU, size and richness columns recorded before reference profiles were
-# shared across rounds, its objectives since the Armijo line search
+# history.csv of `run_tune(..., extra=("--resample-m", 8), rounds=3)`; its
+# size and richness columns recorded before reference profiles were shared
+# across rounds.  Every round resamples, so its BLEU and objective columns are
+# those of the Gumbel-top-k draws: the same law as the sequential draws before
+# them, but other draws from each stream
 GOLDEN_TUNE_HISTORY = (
     b"round,dev_bleu,objective,corpus_size,richness\r\n"
-    b"1,100.0,-10.761828922466112,40,1.2\r\n"
-    b"2,93.60202265123498,-14.810083484535621,76,0.631578947368421\r\n"
-    b"3,77.60146914968043,-15.625731629252154,112,0.42857142857142855\r\n"
+    b"1,100.0,-9.933062786521063,40,1.2\r\n"
+    b"2,80.8023739806552,-13.135053134966173,76,0.631578947368421\r\n"
+    b"3,60.51958252755971,-12.785933279359707,112,0.42857142857142855\r\n"
 )
 
 
@@ -678,6 +680,20 @@ class TestTuneSim:
         assert code == 2
         assert stdout == "" and weights == b"" and history == b""
         assert stderr == "usage error: per_round must be >= 1, got 0\n"
+
+    def test_refused_allocation_is_one_error_line(self, simdir):
+        # 10**15 hypotheses of 8 feature ids ask numpy for 56.8 PiB, past any
+        # address space, so the allocation is refused at once; never use a
+        # size whose allocation could succeed
+        result = run_python(
+            "from plrank.cli import entry; entry()",
+            "tune-sim", "--spec", simdir / "spec.txt", "--refs", simdir / "refs.txt",
+            "--per-round", 10**15, "--out", simdir / "w.txt",
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error: Unable to allocate 56.8 PiB ")
+        assert result.stderr.count(b"\n") == 1 and b"Traceback" not in result.stderr
+        assert result.stdout == b"" and not (simdir / "w.txt").exists()
 
     def test_resample_m_below_three_is_usage_error(self, simdir, capsys):
         code, weights, history, stdout, stderr = run_tune(capsys, simdir, "a", extra=("--resample-m", 2))

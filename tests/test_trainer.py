@@ -1,13 +1,16 @@
 """Optimizer behavior, list resampling, richness, and end-to-end training."""
 
 import dataclasses
+import itertools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.optimize import minimize
 
 from plrank.bleu import ReferenceStats, sentence_bleu
@@ -314,6 +317,26 @@ class TestResample:
         for seed in range(10):
             out = resample(lst, bleus, m, np.ones(1), index, seed)
             assert (f"t4",) in {h.tokens for h in out.hypotheses}
+
+    def test_kept_pairs_follow_the_sequential_law(self):
+        # one best and one worst anchor, then 2 draws from a pool of 4 unequal
+        # scores: the pair {i, j} is kept with probability
+        # p_i p_j / (1 - p_i) + p_j p_i / (1 - p_j), where p is proportional to exp(score)
+        scores = [0.0, 0.9, -0.4, 0.3, -1.1, 0.0]
+        lst = NBestList(0, tuple(Hypothesis((f"t{i}",), {"f": s}, 0.0) for i, s in enumerate(scores)))
+        bleus = [1.0, 0.5, 0.5, 0.5, 0.5, 0.0]
+        p = np.exp(scores[1:5]) / np.exp(scores[1:5]).sum()
+        pairs = list(itertools.combinations(range(1, 5), 2))
+        expected = [p[i - 1] * p[j - 1] * (1 / (1 - p[i - 1]) + 1 / (1 - p[j - 1])) for i, j in pairs]
+        draws = 20_000
+        counts = Counter()
+        for seed in range(draws):
+            kept = [int(h.tokens[0][1:]) for h in resample(lst, bleus, 4, np.ones(1), {"f": 0}, seed).hypotheses]
+            assert kept[0] == 0 and kept[3] == 5
+            counts[tuple(kept[1:3])] += 1
+        observed = [counts[pair] for pair in pairs]
+        assert sum(observed) == draws
+        assert stats.chisquare(observed, draws * np.array(expected)).pvalue > 0.01
 
     def test_tied_anchors_stay_disjoint(self):
         out, _ = self.call(31, 30, bleus=np.zeros(31))

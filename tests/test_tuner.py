@@ -12,19 +12,24 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plrank.tuner
 from plrank.bleu import ReferenceStats, sentence_bleu
 from plrank.corpus import (
     Corpus,
     DataError,
     NBestList,
+    ReferenceSet,
     parse_nbest,
     parse_refs,
     weights_vector,
     write_nbest,
 )
-from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig, train
+from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
 from plrank.tuner import (
+    RoundRecord,
     SyntheticDecoder,
     SyntheticDecoderSpec,
     TuneConfig,
@@ -436,6 +441,67 @@ class TestRunTuning:
         cfg = tune_cfg(max_rounds=2, resample_m=6)
         _, records = run_tuning(decoder, refs, cfg)
         assert records[0].richness < 5.0
+
+
+class TestPoolState:
+    """A round reuses what earlier rounds left: the rows ``merge`` carries,
+    the BLEU memo and table, the last list's prefix, the distinct marks and
+    the reference profiles.  None of it may change an answer."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_every_round_trains_as_its_pool_parsed_afresh(self, data):
+        feature_dim = data.draw(st.integers(4, 60), label="feature_dim")
+        spec = SyntheticDecoderSpec(
+            num_sentences=data.draw(st.integers(1, 3), label="num_sentences"),
+            feature_dim=feature_dim,
+            ref_len=data.draw(st.integers(2, 10), label="ref_len"),
+            features_per_hyp=data.draw(st.integers(1, min(8, feature_dim)), label="features_per_hyp"),
+        )
+        refs = synthetic_references(spec)
+        trained = []
+
+        def recording_train(corpus, shared_refs, cfg, w0):
+            report = train(corpus, shared_refs, cfg, w0)
+            trained.append((corpus, cfg, w0, report))
+            return report
+
+        # two runs share one ReferenceSet, as its profiles allow, so the
+        # second starts from lists the profiles did not see last
+        records = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plrank.tuner, "train", recording_train)
+            for run in range(2):
+                sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4), label="sizes")
+                run_spec = dataclasses.replace(spec, seed=data.draw(st.integers(0, 99), label="decoder seed"))
+                cfg = TuneConfig(
+                    TrainConfig(k=data.draw(st.integers(1, 4), label="k"), max_iters=30, seed=run),
+                    max_rounds=len(sizes),
+                    resample_m=data.draw(st.integers(3, 8), label="resample_m"),
+                )
+
+                def decoder(weights, round_idx):
+                    return synthetic_decode(run_spec, refs, weights, round_idx, sizes[round_idx - 1])
+
+                records += run_tuning(decoder, refs, cfg)[1]
+        assert len(records) == len(trained)
+
+        for record, (pool, cfg, w0, report) in zip(records, trained):
+            fresh = parse_nbest(write_nbest(pool))
+            fresh_refs = ReferenceSet(refs.by_sent)
+            assert list(fresh.feature_index.items()) == list(pool.feature_index.items())
+            again = train(fresh, fresh_refs, cfg, w0)
+            w = again.final_weights
+            assert w.tobytes() == report.final_weights.tobytes()
+            assert again.history == report.history
+            top1 = rerank(fresh, w)
+            assert top1 == rerank(pool, w)
+            dev_bleu = fresh_refs.bleu((lst.sent_id, lst.hypotheses[0].tokens) for lst in top1)
+            rich = richness(fresh)
+            assert (cfg.sample_size is not None) == (rich.r < RICHNESS_THRESHOLD)
+            assert record == RoundRecord(
+                record.round, dev_bleu, again.final_objective, fresh.total_hypotheses(), rich.r
+            )
 
 
 def test_reimport_frees_the_corpus_module():
