@@ -363,51 +363,34 @@ def merge(a: Corpus, b: Corpus) -> Corpus:
     mapped to the merged index.
     """
     # one column space: a's columns, then b's shifted past them
-    grouped: dict[int, list[tuple[NBestList, Rows, int]]] = {}
+    width = len(a.feature_index) + len(b.feature_index)
+    grouped: dict[int, list[tuple[NBestList, Rows]]] = {}
     for corpus, shift in ((a, 0), (b, len(a.feature_index))):
         for lst, rows in zip(corpus.lists, corpus.rows):
-            grouped.setdefault(lst.sent_id, []).append((lst, rows, shift))
+            rows = Rows(rows.data, rows.indices + shift, rows.indptr, (rows.shape[0], width))
+            grouped.setdefault(lst.sent_id, []).append((lst, rows))
     lists: list[NBestList] = []
-    data, cols, lengths, kept = [], [], [], []
+    blocks: list[Rows] = []
     for sid, parts in grouped.items():
-        lst = NBestList(sid, tuple(chain.from_iterable(part[0].hypotheses for part in parts)))
-        mask = np.zeros(len(lst), dtype=bool)
-        lst, keep = dedup(lst)
-        mask[slice(None) if keep is None else keep] = True
+        lst, kept = dedup(NBestList(sid, tuple(chain.from_iterable(part[0].hypotheses for part in parts))))
+        block = Rows.stack([part[1] for part in parts])
         lists.append(lst)
-        kept.append(mask)
-        for _, rows, shift in parts:
-            data.append(rows.data)
-            cols.append(rows.indices + shift)
-            lengths.append(np.diff(rows.indptr))
+        blocks.append(block if kept is None else block[kept])
     if not lists:
         return Corpus((), {})
 
-    # drop the rows dedup dropped, then number the names in scan order: a
-    # column's first position becomes its name's id, so a name both corpora
-    # have takes the id of whichever of its two columns comes first
-    lengths = np.concatenate(lengths)
-    kept = np.concatenate(kept)
-    nnz_kept = np.repeat(kept, lengths)
-    data = np.concatenate(data)[nnz_kept]
-    cols = np.concatenate(cols)[nnz_kept]
+    # number the names in scan order: a column's first position becomes its
+    # name's id, so a name both corpora have takes the id of whichever of its
+    # two columns comes first
+    cols = np.concatenate([block.indices for block in blocks])
     names = sorted(a.feature_index, key=a.feature_index.get) + sorted(b.feature_index, key=b.feature_index.get)
-    first = np.full(len(names), cols.size)
+    first = np.full(width, cols.size)
     np.minimum.at(first, cols, np.arange(cols.size))
     used = np.flatnonzero(first < cols.size)
     order = used[np.argsort(first[used])]
     index: dict[str, int] = {}
     first[order] = [index.setdefault(names[c], len(index)) for c in order.tolist()]
-    cols = first[cols]
-
-    indptr = np.concatenate([[0], np.cumsum(lengths[kept])])
-    blocks = []
-    start = 0
-    for lst in lists:
-        end = start + len(lst.hypotheses)
-        lo, hi = indptr[start], indptr[end]
-        blocks.append(Rows(data[lo:hi], cols[lo:hi], indptr[start : end + 1] - lo, (end - start, len(index))))
-        start = end
+    blocks = [Rows(rows.data, first[rows.indices], rows.indptr, (rows.shape[0], len(index))) for rows in blocks]
     return Corpus(tuple(lists), index, tuple(blocks))
 
 

@@ -251,13 +251,16 @@ def build_instances(
     """Deduplicate, optionally resample, rank by BLEU, and index every list.
 
     ``k`` is clamped to each list's (post-processing) size.  Raises
-    DataError if any sentence lacks references.  The feature rows are the
-    corpus's own, and BLEU comes from the profiles ``refs`` keeps, so a
-    hypothesis scored against the same set before is not scored again.
+    DataError if any list is empty or any sentence lacks references.  The
+    feature rows are the corpus's own, and BLEU comes from the profiles
+    ``refs`` keeps, so a hypothesis scored against the same set before is
+    not scored again.
     """
     instances: list[PLInstance] = []
     for lst, matrix in zip(corpus.lists, corpus.rows):
         sid = lst.sent_id
+        if not lst.hypotheses:
+            raise DataError(f"sentence {sid}: empty hypothesis list")
         profile = refs.profile(sid)
         lst, kept = dedup(lst)
         if kept is not None:
@@ -283,7 +286,7 @@ def train(
 
     ``w0`` defaults to zeros; it is also the weight vector that steers any
     resampling (and so must be aligned to ``corpus.feature_index``).
-    Raises DataError on a corpus with no lists.
+    Raises DataError on a corpus with no lists or with an empty list.
     """
     if not corpus.lists:
         raise DataError("empty corpus")
@@ -304,10 +307,11 @@ def train(
 
 def richness(corpus: Corpus) -> RichnessReport:
     """Feature count over mean deduplicated list size; below
-    RICHNESS_THRESHOLD the corpus is too poor to train on as-is."""
-    if not corpus.lists:
-        raise DataError("empty corpus")
+    RICHNESS_THRESHOLD the corpus is too poor to train on as-is.  Raises
+    DataError on a corpus with no hypothesis."""
     sizes = [len(dedup(lst)[0]) for lst in corpus.lists]
+    if not any(sizes):
+        raise DataError("empty corpus")
     avg = sum(sizes) / len(sizes)
     count = len(corpus.feature_index)
     return RichnessReport(count, avg, count / avg)

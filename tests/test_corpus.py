@@ -511,8 +511,7 @@ class TestMerge:
         # few token sequences, so duplicates come within a round and across
         # rounds; sentences and feature names in any order, so a name first
         # seen in a later sentence reorders the merged index; lists may be empty
-        def round_corpus():
-            sids = data.draw(st.lists(st.integers(0, 3), unique=True, max_size=3))
+        def corpus(sids):
             lists = []
             for sid in sids:
                 hyps = []
@@ -524,10 +523,18 @@ class TestMerge:
                 lists.append(NBestList(sid, tuple(hyps)))
             return Corpus.from_lists(lists)
 
-        pool = Corpus((), {})
+        # the first pool is any corpus: a sentence may have several lists, so
+        # merge drops rows of the pool as well as of the round, and its index
+        # may give out its ids in any order
+        pool = corpus(data.draw(st.lists(st.integers(0, 3), max_size=4)))
+        if data.draw(st.booleans()):
+            ids = data.draw(st.permutations(range(len(pool.feature_index))))
+            pool = Corpus(pool.lists, dict(zip(pool.feature_index, ids)))
+        grouped = {}
+        for lst in pool.lists:
+            grouped.setdefault(lst.sent_id, []).extend(lst.hypotheses)
         for _ in range(data.draw(st.integers(1, 4))):
-            b = round_corpus()
-            grouped = {lst.sent_id: list(lst.hypotheses) for lst in pool.lists}
+            b = corpus(data.draw(st.lists(st.integers(0, 3), unique=True, max_size=3)))
             for lst in b.lists:
                 grouped.setdefault(lst.sent_id, []).extend(lst.hypotheses)
             pool = merge(pool, b)

@@ -494,6 +494,11 @@ class TestRichness:
         with pytest.raises(DataError):
             richness(Corpus((), {}))
 
+    def test_corpus_of_empty_lists_rejected(self):
+        # a mean list size of 0 is no corpus either, not a division by zero
+        with pytest.raises(DataError, match="^empty corpus$"):
+            richness(Corpus.from_lists([NBestList(0, ())]))
+
 
 def toy_training_setup(rng, n_sentences=30, n_hyps=8, n_features=10):
     """Lists whose BLEU order follows a planted linear model exactly."""
@@ -552,6 +557,14 @@ class TestTrain:
             warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
             with pytest.raises(DataError, match="^sentence 4: model score is not finite$"):
                 train(corpus, refs, TrainConfig(sample_size=3), w0=np.array([10.0]))
+
+    def test_empty_list_names_sentence(self):
+        # a decoder may hand back an empty list; it has no ranking to learn from
+        a = Hypothesis(("a",), {"f": 1.0}, 0.0)
+        corpus = Corpus.from_lists([NBestList(0, (a,)), NBestList(3, ())])
+        refs = ReferenceSet({0: (("a",),), 3: (("b",),)})
+        with pytest.raises(DataError, match="^sentence 3: empty hypothesis list$"):
+            train(corpus, refs, TrainConfig(max_iters=2))
 
     def test_w0_of_the_wrong_shape_is_rejected(self):
         corpus = parse_nbest("0 ||| a ||| f=1.0 g=2.0 ||| 0.0\n")
