@@ -12,12 +12,18 @@ concave in ``w`` with an analytic gradient.
 Evaluation is one vectorized pass over a padded (lists x longest list)
 block per fixed-size chunk of instances, reduced in input order (bit-identical
 from run to run) into one gradient vector, however many chunks there are.
-Each chunk's two sparse matvecs are scipy's compiled CSR and CSC kernels, so
-scipy is imported when the first chunk is built, not with this module.
+Each chunk's two sparse matvecs are scipy's compiled CSR and CSC kernels,
+called on the chunk's own CSR arrays.  They live in one extension module,
+``scipy.sparse._sparsetools``, which is loaded by itself when the first chunk
+is built: not with this module, and without the ``scipy.sparse`` package.
+The kernels check no bounds, so a CSR block is checked once, when it becomes
+a :class:`PLInstance` or its distribution is asked for.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,6 +66,25 @@ def _choice_order(perm, n: int, where: str = "") -> tuple[np.ndarray, np.ndarray
     return ranks, np.concatenate([ranks, np.flatnonzero(~taken)])
 
 
+def _check_rows(features: Rows, where: str = "") -> None:
+    """Raise ValueError unless a CSR block's row pointers run from 0 to its
+    entry count without decreasing and every column is inside its width;
+    ``where`` prefixes the messages."""
+    n, width = features.shape
+    indptr, indices = np.asarray(features.indptr), np.asarray(features.indices)
+    entries = indices.size
+    if (
+        indptr.shape != (n + 1,)
+        or np.size(features.data) != entries
+        or indptr[0] != 0
+        or indptr[-1] != entries
+        or np.any(indptr[1:] < indptr[:-1])
+    ):
+        raise ValueError(f"{where}row pointers do not run from 0 to the {entries} entries without decreasing")
+    if entries and not (0 <= indices.min() and indices.max() < width):
+        raise ValueError(f"{where}a column index is outside [0, {width})")
+
+
 @dataclass(frozen=True)
 class PLInstance:
     """One training instance: dense-indexed features plus the ranked prefix.
@@ -80,6 +105,7 @@ class PLInstance:
         n = self.features.shape[0]
         if n == 0:
             raise ValueError(f"sentence {self.sent_id}: empty hypothesis list")
+        _check_rows(self.features, f"sentence {self.sent_id}: ")
         ranks, order = _choice_order(self.ranks, n, f"sentence {self.sent_id}: ")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "order", order)
@@ -112,9 +138,12 @@ def _prefix_terms(lp: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, np.nd
 def list_distribution(features: Rows | np.ndarray, w: np.ndarray) -> ListDistribution:
     """Softmax distribution over one list's hypotheses from scores ``H @ w``;
     ``H`` is a CSR block (see :class:`PLInstance`) or a dense array.
-    Raises ValueError if a score overflows or is NaN."""
+    Raises ValueError if a score overflows or is NaN, or if a CSR block's
+    row pointers or columns are out of range."""
     if features.shape[0] == 0:
         raise ValueError("empty hypothesis list")
+    if hasattr(features, "indptr"):
+        _check_rows(features)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = np.asarray(features @ w, dtype=float).ravel()
     if not np.all(np.isfinite(scores)):
@@ -136,22 +165,49 @@ def permutation_log_prob(dist: ListDistribution, perm) -> float:
     return float(values[0])
 
 
+def _matvecs():
+    """scipy's compiled ``csr_matvec`` and ``csc_matvec``, from the extension
+    module that holds them.  Importing the ``scipy.sparse`` package around it
+    would cost 20 MB and over 0.1 s; the module alone costs 0.1 MB and 0.3 ms.  It
+    is registered under its own name, so a later ``import scipy.sparse`` uses
+    it.  Raises ModuleNotFoundError if scipy or the module file is missing."""
+    import scipy
+
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+        from importlib.util import module_from_spec
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"no extension module {name} in {where}", name=name)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.csr_matvec, module.csc_matvec
+
+
 class _Chunk:
     """A fixed block of instances evaluated with two sparse matvecs and
     whole-array operations on a padded (lists x longest list) block."""
 
-    __slots__ = ("matrix", "matrix_t", "gather", "scatter", "chosen", "last")
+    __slots__ = ("rows", "csr_matvec", "csc_matvec", "gather", "scatter", "chosen", "last")
 
     def __init__(self, instances: Sequence[PLInstance]):
         # scipy's compiled matvecs are 3-6x faster than numpy's bincount,
-        # which adds in the same order; only training pays for its import
-        import scipy.sparse as sp
-
-        rows = Rows.stack([inst.features for inst in instances])
-        self.matrix = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
-        # a CSC view sharing the CSR arrays; ``contrib @ matrix`` would
-        # build it anew on every evaluation and run the same kernel
-        self.matrix_t = self.matrix.T
+        # which adds in the same order; they take the CSR arrays as they are
+        # (one index type, float data) and read them as the CSC form of the
+        # transpose for the gradient, so no matrix object is built
+        stacked = Rows.stack([inst.features for inst in instances])
+        self.rows = Rows(
+            stacked.data.astype(float, copy=False),
+            stacked.indices.astype(stacked.indptr.dtype, copy=False),
+            stacked.indptr,
+            stacked.shape,
+        )
+        self.csr_matvec, self.csc_matvec = _matvecs()
         sizes = np.array([inst.features.shape[0] for inst in instances])
         ks = np.array([inst.k for inst in instances])[:, None]
         rows = int(sizes.sum())
@@ -170,13 +226,23 @@ class _Chunk:
         self.last = np.minimum(cols, ks - 1)
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        scores = self.matrix @ w
+        r = self.rows
+        n, f = r.shape
+        # the kernels read w unchecked; scipy's matmul raised this
+        if w.shape != (f,):
+            raise ValueError(f"weights of shape {w.shape} for rows of shape {r.shape}")
+        # the kernels add into their output, which starts from zeros as in
+        # scipy's matmul, so every sum has scipy's order and bits
+        scores = np.zeros(n)
+        self.csr_matvec(n, f, r.indptr, r.indices, r.data, w, scores)
         lp = _log_softmax(np.append(scores, -np.inf)[self.gather])
         values, logz = _prefix_terms(lp, self.chosen)
         # each chosen row adds +1; a row still available at step j adds -p/Z_j
         mult = np.take_along_axis(np.cumsum(np.exp(-logz), axis=1), self.last, axis=1)
         contrib = (self.chosen - np.exp(lp) * mult).ravel()[self.scatter]
-        return float(np.sum(values)), self.matrix_t @ contrib
+        grad = np.zeros(f)
+        self.csc_matvec(f, n, r.indptr, r.indices, r.data, contrib, grad)
+        return float(np.sum(values)), grad
 
 
 def make_evaluator(

@@ -529,7 +529,8 @@ BLOCKED_MAIN = 'import sys; sys.modules["scipy"] = None; from plrank.cli import 
 
 
 class TestWithoutScipy:
-    # only a training run's likelihood evaluator imports scipy
+    # only a training run's likelihood evaluator imports scipy, and of
+    # scipy.sparse only the extension module with the compiled matvecs
 
     def test_importing_the_cli_loads_no_scipy(self):
         result = run_python("import sys, plrank.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
@@ -552,6 +553,36 @@ class TestWithoutScipy:
         result = run_python(BLOCKED_MAIN, *argv)
         assert result.returncode == 0, result.stderr
         assert result.stdout == stdout.encode()
+
+    def test_training_loads_only_the_kernels_module(self, workdir, capsys):
+        # tier-1's own modules import scipy.sparse, so only a fresh
+        # interpreter shows what training itself loads
+        code = (
+            "import sys; from plrank.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')), file=sys.stderr); "
+            "sys.exit(code)"
+        )
+        args = ("--nbest", workdir / "nbest.txt", "--refs", workdir / "refs.txt", "--k", 2)
+        result = run_python(code, "train", *args, "--out", workdir / "fresh.txt")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == b"['scipy.sparse._sparsetools']"
+        status, stdout, _ = run(capsys, "train", *args, "--out", workdir / "in-process.txt")
+        assert status == 0
+        assert result.stdout == stdout.encode()
+        assert (workdir / "fresh.txt").read_bytes() == (workdir / "in-process.txt").read_bytes()
+
+    def test_a_missing_kernels_module_is_named(self, tmp_path):
+        # a scipy whose directory lacks the extension: the error names the
+        # directory searched, and nothing else of scipy.sparse is tried
+        where = tmp_path / "scipy"
+        code = (
+            "import scipy; from plrank.likelihood import _matvecs; "
+            f"scipy.__file__ = {str(where / '__init__.py')!r}; _matvecs()"
+        )
+        result = run_python(code)
+        assert result.returncode == 1
+        message = f"ModuleNotFoundError: no extension module scipy.sparse._sparsetools in {where / 'sparse'}"
+        assert message.encode() in result.stderr
 
     def test_the_block_stops_training(self, workdir):
         # the control for the test above: training builds the evaluator

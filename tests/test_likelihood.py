@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from plrank import likelihood
+from plrank.corpus import Rows
 from plrank.likelihood import (
     _CHUNK,
     ListDistribution,
@@ -150,10 +153,48 @@ class TestPermutationLogProb:
                 permutation_log_prob(dist, bad)
 
 
+# hand-built two-row blocks of width 3 that the compiled kernels would read
+# or write out of bounds: (data, indices, indptr)
+MALFORMED_ROWS = {
+    "column past the width": ([1.0, 1.0], [0, 5], [0, 1, 2]),
+    "column -1": ([1.0, 1.0], [0, -1], [0, 1, 2]),
+    "column equal to the width": ([1.0, 1.0], [0, 3], [0, 1, 2]),
+    "indptr not starting at 0": ([1.0, 1.0], [0, 1], [1, 1, 2]),
+    "indptr decreasing": ([1.0, 1.0], [0, 1], [0, 2, 1]),
+    "indptr past the entries": ([1.0, 1.0], [0, 1], [0, 1, 3]),
+    "indptr short of the entries": ([1.0, 1.0], [0, 1], [0, 1, 1]),
+    "indptr of the wrong length": ([1.0, 1.0], [0, 1], [0, 2]),
+    "data of the wrong length": ([1.0], [0, 1], [0, 1, 2]),
+}
+
+
+def malformed(case):
+    data, indices, indptr = MALFORMED_ROWS[case]
+    return Rows(np.array(data), np.array(indices), np.array(indptr), (2, 3))
+
+
 class TestInstanceValidation:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             PLInstance(0, sp.csr_matrix((0, 3)), np.array([0]))
+
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    def test_malformed_rows_rejected(self, case):
+        # before this check the CSC kernel wrote past the gradient buffer
+        # and killed the interpreter; the instance now refuses the block
+        with pytest.raises(ValueError, match=r"^sentence 7: (row pointers|a column index)"):
+            PLInstance(7, malformed(case), np.array([0]))
+
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    def test_malformed_rows_have_no_distribution(self, case):
+        with pytest.raises(ValueError, match=r"^(row pointers|a column index)"):
+            list_distribution(malformed(case), np.zeros(3))
+
+    def test_last_column_and_empty_rows_accepted(self):
+        rows = Rows(np.array([1.0, 2.0]), np.array([2, 2]), np.array([0, 0, 2, 2]), (3, 3))
+        value, grad = make_evaluator([PLInstance(0, rows, np.array([1]))])(np.zeros(3))
+        assert np.isfinite(value) and grad.shape == (3,)
+        assert list_distribution(rows, np.zeros(3)).log_probs.size == 3
 
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(ValueError):
@@ -347,6 +388,63 @@ def tiny_lists(count, n_features, rng):
         features = sp.csr_matrix((rng.standard_normal(2), cols, [0, 1, 2]), shape=(2, n_features))
         instances.append(PLInstance(i, features, np.array([0])))
     return instances
+
+
+def scipy_matvecs():
+    """The two kernel calls redone with scipy's CSR matmuls, as the evaluator
+    made them before it called the kernels itself: the oracle for their bits."""
+
+    def csr_matvec(n, f, indptr, indices, data, w, out):
+        out[...] = sp.csr_matrix((data, indices, indptr), shape=(n, f)) @ w
+
+    def csc_matvec(f, n, indptr, indices, data, x, out):
+        out[...] = sp.csr_matrix((data, indices, indptr), shape=(n, f)).T @ x
+
+    return csr_matvec, csc_matvec
+
+
+@st.composite
+def edge_blocks(draw):
+    """Lists of 1-4 rows over 1-5 features whose rows hold 0-4 entries, a
+    column maybe repeated, each list a Rows block or a scipy CSR matrix with
+    int32 indices, plus the weights."""
+    n_features = draw(st.integers(1, 5))
+    values = st.floats(-3.0, 3.0, allow_nan=False)
+    instances = []
+    for sid in range(draw(st.integers(1, _CHUNK + 2))):
+        cols = draw(st.lists(st.lists(st.integers(0, n_features - 1), max_size=4), min_size=1, max_size=4))
+        indices = np.array([c for row in cols for c in row], dtype=np.int64)
+        indptr = np.cumsum([0] + [len(row) for row in cols])
+        data = np.array(draw(st.lists(values, min_size=indices.size, max_size=indices.size)), dtype=float)
+        shape = (len(cols), n_features)
+        if draw(st.booleans()):
+            features = sp.csr_matrix((data, indices.astype(np.int32), indptr.astype(np.int32)), shape=shape)
+            assert features.indices.dtype == np.int32
+        else:
+            features = Rows(data, indices, indptr, shape)
+        ranks = draw(st.permutations(range(len(cols))))[: draw(st.integers(1, len(cols)))]
+        instances.append(PLInstance(sid, features, np.array(ranks)))
+    w = np.array(draw(st.lists(values, min_size=n_features, max_size=n_features)))
+    return instances, w
+
+
+class TestKernelCalls:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(edge_blocks(), st.floats(0.0, 2.0))
+    def test_bits_equal_scipys_matmuls(self, drawn, l2):
+        instances, w = drawn
+        value, grad = make_evaluator(instances, l2)(w)
+        with mock.patch.object(likelihood, "_matvecs", scipy_matvecs):
+            expected_value, expected_grad = make_evaluator(instances, l2)(w)
+        assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_weights_of_another_shape_rejected(self, shape):
+        rows = Rows(np.ones(2), np.array([0, 2]), np.array([0, 1, 2]), (2, 3))
+        evaluate = make_evaluator([PLInstance(0, rows, np.array([0]))])
+        with pytest.raises(ValueError, match="weights of shape"):
+            evaluate(np.zeros(shape))
 
 
 class TestRunningGradient:
