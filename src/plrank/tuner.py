@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import reduce
 from itertools import repeat
-from operator import add, mul
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,6 +28,7 @@ from .corpus import (
     NBestList,
     ParseError,
     ReferenceSet,
+    Rows,
     _echo,
     feature_matrix,  # noqa: F401  (bench/spans.py hooks this name)
     merge,
@@ -171,7 +170,8 @@ def synthetic_decode(
     reference, where ``l`` grows with the within-list rank of the planted
     score, and pads to reference length with tokens unique to (sentence,
     round, hypothesis); so every list spans the quality range and sentence
-    BLEU is strictly monotone in the prefix length.
+    BLEU is strictly monotone in the prefix length.  Decoder scores are
+    :func:`model_scores`, so one that overflows or is NaN raises DataError.
     """
     sids = sorted(refs.by_sent)
     if len(sids) < spec.num_sentences:
@@ -205,17 +205,17 @@ def synthetic_decode(
         else:
             prefixes = ((length * (size - 1 - rank_of)) // (size - 1)).tolist()
         used, where = np.unique(active, return_inverse=True)
-        names = np.array([f"f{i}" for i in used.tolist()], dtype=object)[where.reshape(active.shape)]
+        used_names = [f"f{i}" for i in used.tolist()]
+        names = np.array(used_names, dtype=object)[where.reshape(active.shape)]
+        rows = Rows(values.ravel(), where.ravel(), np.arange(0, active.size + 1, k), (size, used.size))
+        w_used = np.fromiter(map(weights.get, used_names, repeat(0.0)), float, used.size)
+        scores = model_scores(rows, w_used, sid).tolist()
         places = [str(t) for t in range(length)]
         hyps = []
-        for j, (prefix, row, vals) in enumerate(zip(prefixes, names.tolist(), values.tolist())):
+        for j, (prefix, row, vals, score) in enumerate(zip(prefixes, names.tolist(), values.tolist(), scores)):
             filler = f"x{sid}r{round_idx}h{j}p"
             tokens = ref[:prefix] + tuple(map(filler.__add__, places[prefix:]))
-            features = dict(zip(row, vals))
-            # a left-to-right float sum in feature order: the written scores'
-            # bytes depend on it, and builtin sum() compensates from Python 3.12
-            score = reduce(add, map(mul, map(weights.get, row, repeat(0.0)), vals), 0.0)
-            hyps.append(Hypothesis(tokens, features, score))
+            hyps.append(Hypothesis(tokens, dict(zip(row, vals)), score))
         lists.append(NBestList(sid, tuple(hyps)))
     return Corpus.from_lists(lists)
 

@@ -556,7 +556,8 @@ class TestWithoutScipy:
 
     def test_training_loads_only_the_kernels_module(self, workdir, capsys):
         # tier-1's own modules import scipy.sparse, so only a fresh
-        # interpreter shows what training itself loads
+        # interpreter shows what training itself loads; the kernels' module
+        # is loaded, but leaves no scipy.sparse entry in sys.modules
         code = (
             "import sys; from plrank.cli import main; code = main(sys.argv[1:]); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')), file=sys.stderr); "
@@ -565,11 +566,23 @@ class TestWithoutScipy:
         args = ("--nbest", workdir / "nbest.txt", "--refs", workdir / "refs.txt", "--k", 2)
         result = run_python(code, "train", *args, "--out", workdir / "fresh.txt")
         assert result.returncode == 0, result.stderr
-        assert result.stderr.splitlines()[-1] == b"['scipy.sparse._sparsetools']"
+        assert result.stderr.splitlines()[-1] == b"[]"
         status, stdout, _ = run(capsys, "train", *args, "--out", workdir / "in-process.txt")
         assert status == 0
         assert result.stdout == stdout.encode()
         assert (workdir / "fresh.txt").read_bytes() == (workdir / "in-process.txt").read_bytes()
+
+    def test_scipy_sparse_imports_whole_after_training(self, workdir):
+        # a later `import scipy.sparse` binds its kernels' module as an
+        # attribute, the same functions training called
+        code = (
+            "import sys; from plrank.cli import main; from plrank.likelihood import _matvecs; "
+            "code = main(sys.argv[1:]); trained = _matvecs()[0]; import scipy.sparse; "
+            "sys.exit(code or scipy.sparse._sparsetools.csr_matvec is not trained)"
+        )
+        result = run_python(code, "train", "--nbest", workdir / "nbest.txt", "--refs", workdir / "refs.txt",
+                            "--out", workdir / "w.txt")
+        assert result.returncode == 0, result.stderr
 
     def test_a_missing_kernels_module_is_named(self, tmp_path):
         # a scipy whose directory lacks the extension: the error names the

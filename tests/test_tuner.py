@@ -22,6 +22,7 @@ from plrank.corpus import (
     DataError,
     NBestList,
     ReferenceSet,
+    model_scores,
     parse_nbest,
     parse_refs,
     weights_vector,
@@ -222,10 +223,42 @@ class TestSyntheticDecode:
     @pytest.mark.parametrize("kw, digest", PINNED_DECODES)
     def test_bytes_are_pinned_under_a_compensated_sum(self, kw, digest, monkeypatch):
         # from Python 3.12 builtin sum() adds floats with Neumaier
-        # compensation; the decoder's scores and BLEU must not go through it
+        # compensation; BLEU adds by hand, left to right, and the decoder's
+        # scores come from the rows' matvec, so neither may go through it
         monkeypatch.setattr(builtins, "sum", compensated_sum)
         assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the stand-in compensates
         assert pinned_decode_digest(kw) == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_decoder_scores_are_the_rerank_scores(self, data):
+        # one scorer: each decoder score is, to the bit, the model score
+        # `plrank rerank` gives the hypothesis under the decoding weights
+        k = data.draw(st.integers(1, 20), label="features_per_hyp")
+        spec = SyntheticDecoderSpec(
+            num_sentences=data.draw(st.integers(1, 3), label="num_sentences"),
+            feature_dim=data.draw(st.integers(k, 40), label="feature_dim"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            ref_len=3,
+            features_per_hyp=k,
+        )
+        # weights may name features no hypothesis has, and miss ones they have
+        names = st.sampled_from([f"f{i}" for i in range(spec.feature_dim + 3)] + ["lm"])
+        weights = data.draw(st.dictionaries(names, st.floats(-1e300, 1e300)), label="weights")
+        round_idx, size = data.draw(st.integers(0, 9), label="round"), data.draw(st.integers(1, 12), label="size")
+        corpus = synthetic_decode(spec, synthetic_references(spec), weights, round_idx, size)
+        w, _ = weights_vector(weights, corpus.feature_index)
+        for lst, rows in zip(corpus.lists, corpus.rows):
+            decoded = np.array([h.decoder_score for h in lst.hypotheses])
+            assert decoded.tobytes() == model_scores(rows, w, lst.sent_id).tobytes()
+
+    def test_an_overflowing_decoder_score_is_an_error(self):
+        # a weight of 1e308 times a value past 1.8 overflows: an error naming
+        # the sentence, not the `||| inf` line that parse_nbest rejects
+        spec = small_spec()
+        weights = {f"f{i}": 1e308 for i in range(spec.feature_dim)}
+        with pytest.raises(DataError, match="^sentence 0: model score is not finite$"):
+            synthetic_decode(spec, synthetic_references(spec), weights, 1, 10)
 
 
 def tune_cfg(**kw):
