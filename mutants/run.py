@@ -108,6 +108,48 @@ MUTANTS = (
         ("tests/test_bleu.py::TestNgramStats::test_perfect_match_counts",),
     ),
     Mutant(
+        "a tuple of tokens keys the memo by its joined text",
+        "src/plrank/bleu.py",
+        "return hyp if isinstance(hyp, str) else tuple(hyp)",
+        'return hyp if isinstance(hyp, str) else " ".join(hyp)',
+        ("tests/test_bleu.py::TestReferenceStatsProperties::test_a_text_and_a_tuple_of_tokens_never_share_a_key",),
+    ),
+    Mutant(
+        "ties in the ranking fall to an argsort, not to the seeded keys",
+        "src/plrank/bleu.py",
+        "np.lexsort((keys, -np.asarray(bleus, dtype=float)))",
+        "np.argsort(-np.asarray(bleus, dtype=float))",
+        ("tests/test_bleu.py::TestRanking::test_matches_the_sorted_oracle",),
+    ),
+    Mutant(
+        "the line search accepts every trial step",
+        "src/plrank/trainer.py",
+        "if f_new >= f + ARMIJO_C1 * alpha * slope:",
+        "if True:",
+        ("tests/test_trainer.py::TestLbfgs::test_line_search_failure_reports_not_converged",),
+    ),
+    Mutant(
+        "resampling draws from the stream of the next seed",
+        "src/plrank/trainer.py",
+        "substream(rng_seed, RESAMPLE_PURPOSE, sent_id)",
+        "substream(rng_seed + 1, RESAMPLE_PURPOSE, sent_id)",
+        ("tests/test_cli.py::TestTuneSim::test_one_profile_per_sentence_and_history_unchanged",),
+    ),
+    Mutant(
+        "dedup keys a hypothesis by its text without the last token",
+        "src/plrank/corpus.py",
+        "first.setdefault(hyp.text, i)",
+        'first.setdefault(hyp.text.rpartition(" ")[0], i)',
+        ("tests/test_corpus.py::TestDedup::test_keeps_first_occurrence",),
+    ),
+    Mutant(
+        "a hypothesis reads its feature values out of line order",
+        "src/plrank/corpus.py",
+        'dict(zip(self._names, memoryview(self._values).cast("d")))',
+        'dict(zip(self._names, reversed(memoryview(self._values).cast("d"))))',
+        ("tests/test_corpus.py::TestHypothesisStorage::test_features_keep_line_order_and_the_line_round_trips",),
+    ),
+    Mutant(
         "merge keeps the rows of the hypotheses it drops",
         "src/plrank/corpus.py",
         "blocks.append(block if kept is None else block[kept])",

@@ -102,17 +102,25 @@ def _reference_tables(refs: Sequence[Sequence[str]]):
     return vocab, orders
 
 
+def _key(hyp: str | Sequence[str]) -> str | tuple[str, ...]:
+    """The memo key of a hypothesis given as its text or as its tokens.
+    The two kinds never collide: the text "a b" (two tokens) and the
+    tokens ("a b",) (one token) have distinct keys."""
+    return hyp if isinstance(hyp, str) else tuple(hyp)
+
+
 class ReferenceStats:
     """Per-sentence reference profile, reusable across many hypotheses.
 
-    The profile remembers the statistics and the sentence BLEU of every
-    hypothesis it has scored; ``ReferenceSet.profile`` keeps one per
-    sentence as long as the set, so each distinct token sequence is
-    scored once.  :meth:`sentence_bleus` scores a
-    list's new hypotheses in one pass; ``stats_for`` scores a new one as a
-    list of one.  It also remembers the last list it was given, so a list
-    that extends it, as a tuning pool grows round by round, costs only
-    its new tail.
+    A hypothesis is given as its tokens or as its text, the tokens joined
+    by whitespace, as ``Hypothesis.text`` holds them.  The profile
+    remembers the statistics and the sentence BLEU of every hypothesis it
+    has scored; ``ReferenceSet.profile`` keeps one per sentence as long as
+    the set, so each hypothesis is scored once in each form it is given
+    in.  :meth:`sentence_bleus` scores a list's new hypotheses in one
+    pass; ``stats_for`` scores a new one as a list of one.  It also
+    remembers the last list it was given, so a list that extends it, as a
+    tuning pool grows round by round, costs only its new tail.
     """
 
     def __init__(self, refs: Sequence[Sequence[str]]):
@@ -120,23 +128,23 @@ class ReferenceStats:
             raise ValueError("at least one reference is required")
         self.lengths = [len(r) for r in refs]
         self._vocab, self._orders = _reference_tables(refs)
-        self._memo: dict[tuple[str, ...], BleuStats] = {}
+        self._memo: dict[str | tuple[str, ...], BleuStats] = {}
         self._bleu: dict[BleuStats, float] = {}
-        self._last: tuple[list[tuple[str, ...]], list[float]] = ([], [])
+        self._last: tuple[list[str | tuple[str, ...]], list[float]] = ([], [])
 
-    def stats_for(self, hyp_tokens: Sequence[str]) -> BleuStats:
-        key = tuple(hyp_tokens)
+    def stats_for(self, hyp: str | Sequence[str]) -> BleuStats:
+        key = _key(hyp)
         stats = self._memo.get(key)
         if stats is None:
             self._score([key])
             stats = self._memo[key]
         return stats
 
-    def sentence_bleus(self, hyps: Sequence[Sequence[str]]) -> list[float]:
+    def sentence_bleus(self, hyps: Sequence[str | Sequence[str]]) -> list[float]:
         """Sentence BLEU of each hypothesis.  Past the prefix that repeats
         the last call's list, each goes through ``stats_for``, and the ones
         not scored before are scored first, in one pass."""
-        keys = [tuple(h) for h in hyps]
+        keys = list(map(_key, hyps))
         last_keys, last_bleus = self._last
         n = len(last_keys) if keys[: len(last_keys)] == last_keys else 0
         tail = keys[n:]
@@ -145,10 +153,11 @@ class ReferenceStats:
         self._last = (keys, bleus)
         return bleus
 
-    def _score(self, hyps: list[tuple[str, ...]]) -> None:
+    def _score(self, keys: list[str | tuple[str, ...]]) -> None:
         """Memoize the statistics and sentence BLEU of new hypotheses."""
-        if not hyps:
+        if not keys:
             return
+        hyps = [key.split() if isinstance(key, str) else key for key in keys]
         tokens, owner = _token_ids(hyps, self._vocab)
         match = np.zeros((len(hyps), MAX_N), dtype=np.int64)
         ids = tokens
@@ -160,11 +169,11 @@ class ReferenceStats:
             pairs, count = np.unique(pairs, return_counts=True)
             hyp, gram = np.divmod(pairs, table.size)
             match[:, n] = np.bincount(hyp, np.minimum(count, clip[gram]), len(hyps))
-        lengths = [len(key) for key in hyps]
+        lengths = list(map(len, hyps))
         # the reference length closest to the hypothesis's, ties to the shorter
         ref_len = {n: min(self.lengths, key=lambda r: (abs(r - n), r)) for n in set(lengths)}
         total = np.maximum(np.array(lengths)[:, None] - np.arange(MAX_N), 0)
-        for key, m, t, n in zip(hyps, match.tolist(), total.tolist(), lengths):
+        for key, m, t, n in zip(keys, match.tolist(), total.tolist(), lengths):
             stats = self._memo[key] = BleuStats(tuple(m), tuple(t), n, ref_len[n])
             if stats not in self._bleu:
                 self._bleu[stats] = sentence_bleu(stats)

@@ -22,7 +22,8 @@ canonically formatted file byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,18 +46,77 @@ class DataError(ValueError):
     """Inputs are individually well-formed but mutually inconsistent."""
 
 
-@dataclass(frozen=True, slots=True)
 class Hypothesis:
     """One candidate translation with its sparse feature vector; its
     sentence is the ``sent_id`` of the NBestList holding it.
 
-    Features absent from ``features`` are implicitly zero.  ``features``
-    preserves the order in which names appeared on the input line.
+    ``Hypothesis(tokens, features, decoder_score)`` raises ValueError on an
+    empty token or one that holds whitespace, which an N-best line could
+    not carry.  The hypothesis keeps its tokens as ``text``, joined by
+    single spaces, and its features as their names plus their values
+    packed as float64; ``tokens`` (a tuple) and ``features`` (a dict) are
+    built anew on each access.  Features absent from ``features`` are
+    implicitly zero.  ``features`` preserves the order in which names
+    appeared on the input line.  A hypothesis cannot be changed.
     """
 
-    tokens: tuple[str, ...]
-    features: dict[str, float]
+    __slots__ = ("text", "_names", "_values", "decoder_score")
+    text: str
+    _names: tuple[str, ...]
+    _values: bytes
     decoder_score: float
+
+    def __init__(self, tokens: Sequence[str], features: Mapping[str, float], decoder_score: float):
+        tokens = tuple(tokens)
+        text = " ".join(tokens)
+        if tuple(text.split()) != tokens:
+            bad = next(t for t in tokens if t.split() != [t])
+            raise ValueError(f"token {_echo(bad)} is empty or holds whitespace")
+        _fill(self, text, tuple(features), array("d", features.values()).tobytes(), decoder_score)
+
+    @classmethod
+    def _packed(cls, text: str, names: tuple[str, ...], values: bytes, decoder_score: float) -> "Hypothesis":
+        """The hypothesis of checked parts: ``text`` splits into its tokens
+        again, and ``values`` holds one float64 per name."""
+        hyp = object.__new__(cls)
+        _fill(hyp, text, names, values, decoder_score)
+        return hyp
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self.text.split())
+
+    @property
+    def features(self) -> dict[str, float]:
+        return dict(zip(self._names, memoryview(self._values).cast("d")))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Hypothesis._packed, (self.text, self._names, self._values, self.decoder_score)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.text, self.decoder_score) != (other.text, other.decoder_score):
+            return False
+        # equal records first; then features as dicts, which equal in any
+        # order and count 0.0 and -0.0 as equal
+        return (self._names, self._values) == (other._names, other._values) or self.features == other.features
+
+    def __repr__(self) -> str:
+        return f"Hypothesis(tokens={self.tokens!r}, features={self.features!r}, decoder_score={self.decoder_score!r})"
+
+
+def _fill(hyp: Hypothesis, text: str, names: tuple[str, ...], values: bytes, decoder_score: float) -> None:
+    object.__setattr__(hyp, "text", text)
+    object.__setattr__(hyp, "_names", names)
+    object.__setattr__(hyp, "_values", values)
+    object.__setattr__(hyp, "decoder_score", decoder_score)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +208,7 @@ class Corpus:
     @classmethod
     def from_lists(cls, lists: Iterable[NBestList]) -> "Corpus":
         lists = tuple(lists)
-        names = dict.fromkeys(chain.from_iterable(h.features for lst in lists for h in lst.hypotheses))
+        names = dict.fromkeys(chain.from_iterable(h._names for lst in lists for h in lst.hypotheses))
         return cls(lists, dict(zip(names, range(len(names)))))
 
     def total_hypotheses(self) -> int:
@@ -187,8 +247,8 @@ class ReferenceSet:
         return profile
 
     def bleu(self, pairs: Iterable[tuple[int, Sequence[str]]]) -> float:
-        """Corpus BLEU (0-100) of ``(sent_id, tokens)`` pairs, one per sentence,
-        over their pooled statistics."""
+        """Corpus BLEU (0-100) of ``(sent_id, tokens or text)`` pairs, one
+        per sentence, over their pooled statistics."""
         stats = (self.profile(sent_id).stats_for(tokens) for sent_id, tokens in pairs)
         return 100.0 * corpus_bleu(sum(stats, BleuStats.zero()))
 
@@ -246,10 +306,16 @@ def _parse_number(text: str, line_no: int, what: str, name: str | None = None) -
     raise ParseError(line_no, f"{what} {_echo(text)} {problem}")
 
 
-def _lines(text: str) -> list[str]:
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` one at a time, so no list of them is held; a
+    last line need not end in \\n."""
     # str.splitlines would also end a line at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029
-    lines = text.split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
+    start, end = 0, text.find("\n")
+    while end >= 0:
+        yield text[start:end]
+        start, end = end + 1, text.find("\n", end + 1)
+    if start < len(text):
+        yield text[start:]
 
 
 def _records(text: str, counts: tuple[int, ...]) -> Iterator[tuple[int, int, list[str]]]:
@@ -274,16 +340,20 @@ def _hypothesis(line_no: int, fields: Sequence[str], names: dict[str, str]) -> H
     holds it; the hypothesis's features use those strings, and a new name
     is added.
     """
-    tokens = tuple(fields[1].split())
-    features: dict[str, float] = {}
+    seen: set[str] = set()
+    keys: list[str] = []
+    values = array("d")
     for item in fields[2].split():
         name, eq, value = item.partition("=")
         if not eq or not name:
             raise ParseError(line_no, f"feature {_echo(item)} is not <name>=<value>")
-        if name in features:
+        if name in seen:
             raise ParseError(line_no, f"duplicate feature {_echo(name)}")
-        features[names.setdefault(name, name)] = _parse_number(value, line_no, "feature {} value", name)
-    return Hypothesis(tokens, features, _parse_number(fields[3], line_no, "decoder score"))
+        seen.add(name)
+        keys.append(names.setdefault(name, name))
+        values.append(_parse_number(value, line_no, "feature {} value", name))
+    score = _parse_number(fields[3], line_no, "decoder score")
+    return Hypothesis._packed(" ".join(fields[1].split()), tuple(keys), values.tobytes(), score)
 
 
 def parse_nbest(text: str) -> Corpus:
@@ -303,8 +373,9 @@ def parse_nbest(text: str) -> Corpus:
 
 def nbest_line(sent_id: int, hyp: Hypothesis, score: float) -> str:
     """One N-best line, without its newline, with ``score`` as the last field."""
-    feats = " ".join(f"{name}={format_float(v)}" for name, v in hyp.features.items())
-    return FIELD_SEP.join([str(sent_id), " ".join(hyp.tokens), feats, format_float(score)])
+    values = memoryview(hyp._values).cast("d")
+    feats = " ".join(f"{name}={format_float(v)}" for name, v in zip(hyp._names, values))
+    return FIELD_SEP.join([str(sent_id), hyp.text, feats, format_float(score)])
 
 
 def write_nbest(corpus: Corpus) -> str:
@@ -344,9 +415,9 @@ def dedup(lst: NBestList) -> tuple[NBestList, list[int] | None]:
     all and so is the list itself.  A marked list is not searched again."""
     kept = None
     if not lst._distinct:
-        first: dict[tuple[str, ...], int] = {}
+        first: dict[str, int] = {}
         for i, hyp in enumerate(lst.hypotheses):
-            first.setdefault(hyp.tokens, i)
+            first.setdefault(hyp.text, i)
         if len(first) < len(lst.hypotheses):
             kept = list(first.values())
             lst = NBestList(lst.sent_id, tuple(map(lst.hypotheses.__getitem__, kept)))
@@ -400,17 +471,18 @@ def feature_matrix(lst: NBestList, feature_index: Mapping[str, int]) -> Rows:
 
     Raises DataError naming the sentence and the first feature, in scan
     order, that ``feature_index`` lacks."""
-    features = [hyp.features for hyp in lst.hypotheses]
-    names = list(chain.from_iterable(features))
-    data = np.fromiter(chain.from_iterable(f.values() for f in features), dtype=float, count=len(names))
+    hyps = lst.hypotheses
+    names = list(chain.from_iterable(hyp._names for hyp in hyps))
+    # joined into a bytearray, so the data is writable, as a fresh array is
+    data = np.frombuffer(bytearray().join([hyp._values for hyp in hyps]), dtype=float)
     cols = np.fromiter(map(feature_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
     unknown = np.flatnonzero(cols < 0)
     if unknown.size:
         name = names[unknown[0]]
         raise DataError(f"sentence {lst.sent_id}: feature {_echo(name)} is not in the feature index")
-    lengths = np.fromiter(map(len, features), dtype=np.int64, count=len(features))
+    lengths = np.fromiter((len(hyp._names) for hyp in hyps), dtype=np.int64, count=len(hyps))
     indptr = np.concatenate([[0], np.cumsum(lengths)])
-    return Rows(data, cols, indptr, (len(features), len(feature_index)))
+    return Rows(data, cols, indptr, (len(hyps), len(feature_index)))
 
 
 def model_scores(matrix: Rows, w: np.ndarray, sent_id: int) -> np.ndarray:

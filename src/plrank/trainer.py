@@ -265,7 +265,7 @@ def build_instances(
         lst, kept = dedup(lst)
         if kept is not None:
             matrix = matrix[kept]
-        bleus = np.array(profile.sentence_bleus([h.tokens for h in lst.hypotheses]))
+        bleus = np.array(profile.sentence_bleus([h.text for h in lst.hypotheses]))
         if cfg.sample_size is not None and cfg.sample_size < len(bleus):
             keep = _resample_indices(bleus, cfg.sample_size, matrix, w, cfg.seed, sid)
             bleus = bleus[keep]

@@ -183,6 +183,8 @@ def synthetic_decode(
     lists = []
     for sid in sids[: spec.num_sentences]:
         ref = refs[sid][0]
+        if tuple(" ".join(ref).split()) != ref:
+            raise DataError(f"sentence {sid}: a reference token is empty or holds whitespace")
         length = len(ref)
         rng = substream(spec.seed, "decode", round_idx, sid)
         active = np.empty((size, k), dtype=np.int64)
@@ -212,10 +214,10 @@ def synthetic_decode(
         scores = model_scores(rows, w_used, sid).tolist()
         places = [str(t) for t in range(length)]
         hyps = []
-        for j, (prefix, row, vals, score) in enumerate(zip(prefixes, names.tolist(), values.tolist(), scores)):
+        for j, (prefix, row, vals, score) in enumerate(zip(prefixes, names.tolist(), values, scores)):
             filler = f"x{sid}r{round_idx}h{j}p"
-            tokens = ref[:prefix] + tuple(map(filler.__add__, places[prefix:]))
-            hyps.append(Hypothesis(tokens, dict(zip(row, vals)), score))
+            text = " ".join(ref[:prefix] + tuple(map(filler.__add__, places[prefix:])))
+            hyps.append(Hypothesis._packed(text, tuple(row), vals.tobytes(), score))
         lists.append(NBestList(sid, tuple(hyps)))
     return Corpus.from_lists(lists)
 
@@ -248,7 +250,7 @@ def rerank(corpus: Corpus, w: np.ndarray, top: int = 1) -> list[NBestList]:
 
 
 def _top1_corpus_bleu(corpus: Corpus, w: np.ndarray, refs: ReferenceSet) -> float:
-    return refs.bleu((lst.sent_id, lst.hypotheses[0].tokens) for lst in rerank(corpus, w, top=1))
+    return refs.bleu((lst.sent_id, lst.hypotheses[0].text) for lst in rerank(corpus, w, top=1))
 
 
 def run_tuning(

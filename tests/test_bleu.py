@@ -146,22 +146,25 @@ class TestReferenceStatsProperties:
     @settings(max_examples=40, deadline=None)
     @given(scoring_cases(), st.data())
     def test_list_extending_the_last_one_passes_only_its_tail(self, case, data):
-        # a tuning pool grows by appending each round's new hypotheses
+        # a tuning pool grows by appending each round's new hypotheses,
+        # which training gives as their texts and a caller may give as tokens
         hyps, refs = case
         profile = ReferenceStats(refs)
         passed = []
         stats_for = profile.stats_for
-        profile.stats_for = lambda hyp: passed.append(tuple(hyp)) or stats_for(hyp)
+        profile.stats_for = lambda hyp: passed.append(hyp) or stats_for(hyp)
+        key = {hyp: " ".join(hyp) if data.draw(st.booleans()) else hyp for hyp in hyps}
         lst = []
         for _ in range(4):
-            tail = data.draw(st.lists(st.sampled_from(hyps), max_size=4))
+            tail = [key[hyp] for hyp in data.draw(st.lists(st.sampled_from(hyps), max_size=4))]
             extends = data.draw(st.booleans())
             lst = lst + tail if extends else tail
             passed.clear()
             bleus = profile.sentence_bleus(lst)
-            assert bleus == [sentence_bleu(slow_stats(hyp, refs, MAX_N)) for hyp in lst]
+            tokens = [hyp.split() if isinstance(hyp, str) else hyp for hyp in lst]
+            assert bleus == [sentence_bleu(slow_stats(t, refs, MAX_N)) for t in tokens]
             if extends:
-                assert passed == [tuple(hyp) for hyp in tail]
+                assert passed == tail
 
     def test_reference_vocabulary_above_two_to_the_sixteen(self):
         # 70,000 distinct tokens: 4-gram keys built as vocab**4 would pass 2**63
@@ -191,6 +194,18 @@ class TestReferenceStatsProperties:
         fresh = [ReferenceStats(refs).stats_for(h) for h in hyps]
         assert first == again == fresh
         assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_text_and_a_tuple_of_tokens_never_share_a_key(self, order):
+        # the one token "a b" is not the two tokens of the text "a b"
+        hyps = [("a b",), ("a", "b"), "a b", "a  b\t"][::order]
+        profile = ReferenceStats([("a", "b")])
+        got = [profile.stats_for(h) for h in hyps][::order]
+        one_token = BleuStats((0, 0, 0, 0), (1, 0, 0, 0), 1, 2)
+        two_tokens = BleuStats((2, 1, 0, 0), (2, 1, 0, 0), 2, 2)
+        assert got == [one_token, two_tokens, two_tokens, two_tokens]
+        bleus = ReferenceStats([("a", "b")]).sentence_bleus(hyps[::order])
+        assert bleus == [sentence_bleu(s) for s in got]
 
 
 class TestSentenceBleu:

@@ -1,5 +1,8 @@
 """Data model and file-format tests: parsing, round-trips, dedup, merge."""
 
+import dataclasses
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from plrank.corpus import (
     NBestList,
     ParseError,
     Rows,
+    _lines,
     _parse_number,
     _records,
     dedup,
@@ -22,6 +26,7 @@ from plrank.corpus import (
     format_weights,
     merge,
     model_scores,
+    nbest_line,
     parse_first_hypotheses,
     parse_nbest,
     parse_refs,
@@ -29,7 +34,7 @@ from plrank.corpus import (
     weights_vector,
     write_nbest,
 )
-from plrank.tuner import SPEC_KEYS, parse_spec
+from plrank.tuner import SPEC_KEYS, SyntheticDecoderSpec, parse_spec, synthetic_decode, synthetic_references
 
 SAMPLE = (
     "0 ||| der mann ||| lm=-2.5 tm=0.4 ||| -1.25\n"
@@ -167,6 +172,11 @@ class TestParseNbest:
             parse(text)
         assert str(err.value) == f"line 1: {message}"
         assert len(str(err.value)) < 120
+
+    @given(st.text("ab\n\r\f\u2028", max_size=12))
+    def test_lines_are_the_newline_split_without_a_last_empty_line(self, text):
+        lines = text.split("\n")
+        assert list(_lines(text)) == (lines[:-1] if lines[-1] == "" else lines)
 
     def test_lines_end_only_at_newline(self):
         # str.splitlines would also break at the form feed and at U+2028
@@ -401,6 +411,89 @@ class TestRoundTrip:
         corpus = parse_nbest(text)
         assert write_nbest(corpus) == text
         assert parse_nbest(write_nbest(corpus)) == corpus
+
+
+@st.composite
+def line_fields(draw):
+    """(sent_id, tokens, features, score) of one N-best line, and the line
+    as write_nbest renders it."""
+    sent_id = draw(st.integers(0, 3))
+    tokens = draw(st.lists(st.text(FORMAT_CHARS, min_size=1, max_size=4), max_size=4))
+    features = draw(
+        st.dictionaries(
+            st.text(FORMAT_CHARS.filter(lambda c: c != "="), min_size=1, max_size=4),
+            st.floats(allow_nan=False, allow_infinity=False),
+            max_size=5,
+        )
+    )
+    score = draw(st.floats(allow_nan=False, allow_infinity=False))
+    feats = " ".join(f"{name}={value!r}" for name, value in features.items())
+    return (sent_id, tokens, features, score), f"{sent_id} ||| {' '.join(tokens)} ||| {feats} ||| {score!r}"
+
+
+class TestHypothesisStorage:
+    @given(line_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_parsed_line_equals_the_constructed_hypothesis(self, case):
+        (_, tokens, features, score), line = case
+        parsed = parse_nbest(line + "\n").lists[0].hypotheses[0]
+        built = Hypothesis(tokens, features, score)
+        assert parsed == built and built == parsed
+        assert parsed.text == built.text == " ".join(tokens)
+        assert parsed.tokens == built.tokens == tuple(tokens)
+        assert repr(parsed) == repr(built)
+
+    @given(line_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_features_keep_line_order_and_the_line_round_trips(self, case):
+        (sent_id, tokens, features, score), line = case
+        parsed = parse_nbest(line + "\n").lists[0].hypotheses[0]
+        for hyp in (parsed, Hypothesis(tokens, features, score)):
+            assert [(name, repr(v)) for name, v in hyp.features.items()] == [
+                (name, repr(v)) for name, v in features.items()
+            ]
+            assert nbest_line(sent_id, hyp, hyp.decoder_score) == line
+
+    @pytest.mark.parametrize("token", ["", "a b", "a\tb", " a", "a\n", "a\u2028b", "\x85"])
+    def test_a_token_a_line_cannot_carry_is_rejected(self, token):
+        # written out, it would parse back as other tokens
+        with pytest.raises(ValueError) as err:
+            Hypothesis(("x", token), {"f": 1.0}, 0.0)
+        assert str(err.value) == f"token {token!r} is empty or holds whitespace"
+
+    def test_frozen_and_compared_as_tokens_features_and_score(self):
+        h = Hypothesis(["a", "b"], {"f": 1.0, "g": -0.5}, 0.25)
+        for name in ("text", "tokens", "features", "decoder_score"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, None)
+        # feature dicts compare regardless of order, as they always did
+        assert h == Hypothesis(("a", "b"), {"g": -0.5, "f": 1.0}, 0.25)
+        assert h != Hypothesis(("a",), {"f": 1.0, "g": -0.5}, 0.25)
+        assert h != Hypothesis(("a", "b"), {"f": 1.0}, 0.25)
+        assert repr(h) == "Hypothesis(tokens=('a', 'b'), features={'f': 1.0, 'g': -0.5}, decoder_score=0.25)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del h.text
+        with pytest.raises(TypeError):
+            hash(h)
+        assert pickle.loads(pickle.dumps(h)) == h
+
+    def test_parsed_corpus_holds_under_800_bytes_per_hypothesis(self):
+        # 2,000 hypotheses of 8 tokens and 16 features (train-deep's shape)
+        # over 200 names, so the feature index is small.  Measured on
+        # CPython 3.11: the corpus holds 664 bytes per hypothesis, rows
+        # included, and the parse peaks at 681, with no list of the lines;
+        # the bound leaves 20 % for other Pythons
+        spec = SyntheticDecoderSpec(num_sentences=40, feature_dim=200, seed=3, ref_len=8, features_per_hyp=16)
+        text = write_nbest(synthetic_decode(spec, synthetic_references(spec), {}, 0, 50))
+        tracemalloc.start()
+        try:
+            corpus = parse_nbest(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = corpus.total_hypotheses()
+        assert n == 2000
+        assert held < 800 * n and peak < 800 * n, (held / n, peak / n)
 
 
 def first_occurrence_positions(lst):

@@ -158,6 +158,12 @@ class TestSyntheticDecode:
         c = synthetic_decode(spec, refs, {}, 3, 10)
         assert a != c
 
+    def test_a_reference_token_a_line_cannot_carry_is_an_error(self):
+        spec = small_spec()
+        refs = ReferenceSet({sid: (("a", "b c"),) for sid in range(spec.num_sentences)})
+        with pytest.raises(DataError, match="^sentence 0: a reference token is empty or holds whitespace$"):
+            synthetic_decode(spec, refs, {}, 1, 3)
+
     def test_hypotheses_are_reference_prefixes_plus_filler(self):
         spec = small_spec()
         refs = synthetic_references(spec)
@@ -439,7 +445,8 @@ class TestRunTuning:
 
         def decoder(weights, round_idx):
             corpus = decode(weights, round_idx)
-            decoded.extend((lst.sent_id, h.tokens) for lst in corpus.lists for h in lst.hypotheses)
+            # training scores a hypothesis by its text, the memo's key for it
+            decoded.extend((lst.sent_id, h.text) for lst in corpus.lists for h in lst.hypotheses)
             return corpus
 
         rows = []
