@@ -108,11 +108,11 @@ MUTANTS = (
         ("tests/test_bleu.py::TestNgramStats::test_perfect_match_counts",),
     ),
     Mutant(
-        "a tuple of tokens keys the memo by its joined text",
+        "a text is split at single spaces, not at whitespace",
         "src/plrank/bleu.py",
-        "return hyp if isinstance(hyp, str) else tuple(hyp)",
-        'return hyp if isinstance(hyp, str) else " ".join(hyp)',
-        ("tests/test_bleu.py::TestReferenceStatsProperties::test_a_text_and_a_tuple_of_tokens_never_share_a_key",),
+        "[key.split() for key in keys]",
+        '[key.split(" ") for key in keys]',
+        ("tests/test_bleu.py::TestReferenceStatsProperties::test_a_text_scores_as_its_whitespace_split_tokens",),
     ),
     Mutant(
         "ties in the ranking fall to an argsort, not to the seeded keys",
@@ -157,11 +157,25 @@ MUTANTS = (
         ("tests/test_corpus.py::TestMerge::test_merge_keeps_rows_of_hypotheses_it_keeps",),
     ),
     Mutant(
+        "merge keeps each corpus's column ids, not the merged index's",
+        "src/plrank/corpus.py",
+        "first[rows.indices]",
+        "rows.indices",
+        ("tests/test_corpus.py::TestMerge::test_rows_are_the_merged_lists_feature_matrices",),
+    ),
+    Mutant(
         "merge names its columns in dict order, not id order",
         "src/plrank/corpus.py",
         "sorted(a.feature_index, key=a.feature_index.get) + sorted(b.feature_index, key=b.feature_index.get)",
         "list(a.feature_index) + list(b.feature_index)",
         ("tests/test_corpus.py::TestMerge::test_index_given_out_of_id_order",),
+    ),
+    Mutant(
+        "a hypothesis takes any feature name",
+        "src/plrank/corpus.py",
+        'if name.split() != [name] or "=" in name or "|||" in name:',
+        "if False:",
+        ("tests/test_corpus.py::TestHypothesisStorage::test_a_name_or_token_a_line_cannot_carry_back_is_rejected",),
     ),
     Mutant(
         "an overflowing row product warns",

@@ -102,25 +102,18 @@ def _reference_tables(refs: Sequence[Sequence[str]]):
     return vocab, orders
 
 
-def _key(hyp: str | Sequence[str]) -> str | tuple[str, ...]:
-    """The memo key of a hypothesis given as its text or as its tokens.
-    The two kinds never collide: the text "a b" (two tokens) and the
-    tokens ("a b",) (one token) have distinct keys."""
-    return hyp if isinstance(hyp, str) else tuple(hyp)
-
-
 class ReferenceStats:
     """Per-sentence reference profile, reusable across many hypotheses.
 
-    A hypothesis is given as its tokens or as its text, the tokens joined
-    by whitespace, as ``Hypothesis.text`` holds them.  The profile
-    remembers the statistics and the sentence BLEU of every hypothesis it
-    has scored; ``ReferenceSet.profile`` keeps one per sentence as long as
-    the set, so each hypothesis is scored once in each form it is given
-    in.  :meth:`sentence_bleus` scores a list's new hypotheses in one
-    pass; ``stats_for`` scores a new one as a list of one.  It also
-    remembers the last list it was given, so a list that extends it, as a
-    tuning pool grows round by round, costs only its new tail.
+    A hypothesis is given as its text, its tokens joined by whitespace,
+    as ``Hypothesis.text`` holds them.  The profile remembers the
+    statistics and the sentence BLEU of every text it has scored;
+    ``ReferenceSet.profile`` keeps one per sentence as long as the set,
+    so each text is scored once.  :meth:`sentence_bleus` scores a list's
+    new hypotheses in one pass; ``stats_for`` scores a new one as a list
+    of one.  It also remembers the last list it was given, so a list that
+    extends it, as a tuning pool grows round by round, costs only its new
+    tail.
     """
 
     def __init__(self, refs: Sequence[Sequence[str]]):
@@ -128,23 +121,22 @@ class ReferenceStats:
             raise ValueError("at least one reference is required")
         self.lengths = [len(r) for r in refs]
         self._vocab, self._orders = _reference_tables(refs)
-        self._memo: dict[str | tuple[str, ...], BleuStats] = {}
+        self._memo: dict[str, BleuStats] = {}
         self._bleu: dict[BleuStats, float] = {}
-        self._last: tuple[list[str | tuple[str, ...]], list[float]] = ([], [])
+        self._last: tuple[list[str], list[float]] = ([], [])
 
-    def stats_for(self, hyp: str | Sequence[str]) -> BleuStats:
-        key = _key(hyp)
-        stats = self._memo.get(key)
+    def stats_for(self, hyp: str) -> BleuStats:
+        stats = self._memo.get(hyp)
         if stats is None:
-            self._score([key])
-            stats = self._memo[key]
+            self._score([hyp])
+            stats = self._memo[hyp]
         return stats
 
-    def sentence_bleus(self, hyps: Sequence[str | Sequence[str]]) -> list[float]:
+    def sentence_bleus(self, hyps: Sequence[str]) -> list[float]:
         """Sentence BLEU of each hypothesis.  Past the prefix that repeats
         the last call's list, each goes through ``stats_for``, and the ones
         not scored before are scored first, in one pass."""
-        keys = list(map(_key, hyps))
+        keys = list(hyps)
         last_keys, last_bleus = self._last
         n = len(last_keys) if keys[: len(last_keys)] == last_keys else 0
         tail = keys[n:]
@@ -153,11 +145,11 @@ class ReferenceStats:
         self._last = (keys, bleus)
         return bleus
 
-    def _score(self, keys: list[str | tuple[str, ...]]) -> None:
+    def _score(self, keys: list[str]) -> None:
         """Memoize the statistics and sentence BLEU of new hypotheses."""
         if not keys:
             return
-        hyps = [key.split() if isinstance(key, str) else key for key in keys]
+        hyps = [key.split() for key in keys]
         tokens, owner = _token_ids(hyps, self._vocab)
         match = np.zeros((len(hyps), MAX_N), dtype=np.int64)
         ids = tokens

@@ -50,14 +50,14 @@ class Hypothesis:
     """One candidate translation with its sparse feature vector; its
     sentence is the ``sent_id`` of the NBestList holding it.
 
-    ``Hypothesis(tokens, features, decoder_score)`` raises ValueError on an
-    empty token or one that holds whitespace, which an N-best line could
-    not carry.  The hypothesis keeps its tokens as ``text``, joined by
-    single spaces, and its features as their names plus their values
-    packed as float64; ``tokens`` (a tuple) and ``features`` (a dict) are
-    built anew on each access.  Features absent from ``features`` are
-    implicitly zero.  ``features`` preserves the order in which names
-    appeared on the input line.  A hypothesis cannot be changed.
+    ``Hypothesis(tokens, features, decoder_score)`` raises ValueError on what
+    an N-best line could not carry back: a token that is empty or holds
+    whitespace or ``|||``, or a feature name that is empty or holds
+    whitespace, ``=`` or ``|||``.  The hypothesis keeps its tokens as
+    ``text``, joined by single spaces, and its features as their names plus
+    their values packed as float64; ``tokens`` (a tuple) and ``features`` (a
+    dict, in line order; an absent feature is zero) are built anew on each
+    access.  A hypothesis cannot be changed.
     """
 
     __slots__ = ("text", "_names", "_values", "decoder_score")
@@ -72,6 +72,11 @@ class Hypothesis:
         if tuple(text.split()) != tokens:
             bad = next(t for t in tokens if t.split() != [t])
             raise ValueError(f"token {_echo(bad)} is empty or holds whitespace")
+        if "|||" in text:
+            raise ValueError(f"token {_echo(next(t for t in tokens if '|||' in t))} holds '|||'")
+        for name in features:
+            if name.split() != [name] or "=" in name or "|||" in name:
+                raise ValueError(f"feature name {_echo(name)} is empty or holds whitespace, '=' or '|||'")
         _fill(self, text, tuple(features), array("d", features.values()).tobytes(), decoder_score)
 
     @classmethod
@@ -119,7 +124,7 @@ def _fill(hyp: Hypothesis, text: str, names: tuple[str, ...], values: bytes, dec
     object.__setattr__(hyp, "decoder_score", decoder_score)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class NBestList:
     sent_id: int
     hypotheses: tuple[Hypothesis, ...]
@@ -131,7 +136,7 @@ class NBestList:
         return len(self.hypotheses)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class Rows:
     """Feature rows in compressed sparse row (CSR) form, its arrays named as
     in scipy: row i has the values ``data[indptr[i]:indptr[i + 1]]`` in the
@@ -181,7 +186,7 @@ class Rows:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Corpus:
     """A set of N-best lists plus the name <-> dense-index feature bijection.
 
@@ -215,7 +220,7 @@ class Corpus:
         return sum(len(lst) for lst in self.lists)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ReferenceSet:
     """References per sentence: sent_id -> one or more token sequences.
 
@@ -246,10 +251,10 @@ class ReferenceSet:
             profile = self._profiles[sent_id] = ReferenceStats(self.by_sent[sent_id])
         return profile
 
-    def bleu(self, pairs: Iterable[tuple[int, Sequence[str]]]) -> float:
-        """Corpus BLEU (0-100) of ``(sent_id, tokens or text)`` pairs, one
+    def bleu(self, pairs: Iterable[tuple[int, str]]) -> float:
+        """Corpus BLEU (0-100) of ``(sent_id, Hypothesis.text)`` pairs, one
         per sentence, over their pooled statistics."""
-        stats = (self.profile(sent_id).stats_for(tokens) for sent_id, tokens in pairs)
+        stats = (self.profile(sent_id).stats_for(text) for sent_id, text in pairs)
         return 100.0 * corpus_bleu(sum(stats, BleuStats.zero()))
 
 
@@ -398,14 +403,14 @@ def parse_refs(text: str) -> ReferenceSet:
     return ReferenceSet({sid: tuple(refs) for sid, refs in by_sent.items()})
 
 
-def parse_first_hypotheses(text: str) -> dict[int, tuple[str, ...]]:
-    """The first hypothesis's tokens per sentence, in first-occurrence order,
-    from N-best lines or ``sent_id ||| tokens`` lines (or a mix).  Every
-    N-best line is checked as :func:`parse_nbest` checks it."""
-    first: dict[int, tuple[str, ...]] = {}
+def parse_first_hypotheses(text: str) -> dict[int, str]:
+    """The first hypothesis's ``text`` per sentence, in first-occurrence
+    order, from N-best lines or ``sent_id ||| tokens`` lines (or a mix).
+    Every N-best line is checked as :func:`parse_nbest` checks it."""
+    first: dict[int, str] = {}
     for line_no, sent_id, fields in _records(text, (2, 4)):
-        tokens = _hypothesis(line_no, fields, {}).tokens if len(fields) == 4 else tuple(fields[1].split())
-        first.setdefault(sent_id, tokens)
+        hyp = _hypothesis(line_no, fields, {}).text if len(fields) == 4 else " ".join(fields[1].split())
+        first.setdefault(sent_id, hyp)
     return first
 
 

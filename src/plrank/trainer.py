@@ -43,7 +43,7 @@ RICHNESS_THRESHOLD = 5.0
 RESAMPLE_PURPOSE = "resample"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one training run, checked once, when it is made.
 
@@ -101,7 +101,7 @@ class TrainReport:
         return self.history[-1][1]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RichnessReport:
     feature_count: int
     avg_list_size: float

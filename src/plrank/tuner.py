@@ -42,7 +42,7 @@ from .trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
 MAX_FEATURE_DIM = 10**7
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TuneConfig:
     train_cfg: TrainConfig
     max_rounds: int = 40
@@ -55,7 +55,7 @@ class TuneConfig:
             raise ValueError(f"resample_m must be >= 3, got {self.resample_m}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RoundRecord:
     round: int
     dev_bleu: float
@@ -68,7 +68,7 @@ def _integer(n: int) -> str:
     return _echo(str(n), quote=False, noun="an integer")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SyntheticDecoderSpec:
     """Generator settings for the synthetic decoder.
 

@@ -22,7 +22,7 @@ from plrank.rng import substream
 
 
 def stats(hyp, refs):
-    return ReferenceStats([r.split() for r in refs]).stats_for(hyp.split())
+    return ReferenceStats([r.split() for r in refs]).stats_for(hyp)
 
 
 class TestNgramStats:
@@ -48,9 +48,9 @@ class TestNgramStats:
 
     def test_ref_len_closest_with_ties_to_shorter(self):
         refs = [["a"] * 2, ["a"] * 4]
-        assert ReferenceStats(refs).stats_for(["a"] * 3).ref_len == 2  # tie -> shorter
-        assert ReferenceStats(refs).stats_for(["a"] * 4).ref_len == 4
-        assert ReferenceStats(refs).stats_for(["a"] * 1).ref_len == 2
+        assert ReferenceStats(refs).stats_for("a a a").ref_len == 2  # tie -> shorter
+        assert ReferenceStats(refs).stats_for("a a a a").ref_len == 4
+        assert ReferenceStats(refs).stats_for("a").ref_len == 2
 
     def test_empty_hypothesis(self):
         s = stats("", ["a b"])
@@ -59,7 +59,7 @@ class TestNgramStats:
 
     def test_empty_refs_rejected(self):
         with pytest.raises(ValueError):
-            ReferenceStats([]).stats_for(["a"])
+            ReferenceStats([]).stats_for("a")
 
     def test_additive(self):
         a = stats("a b c", ["a b"])
@@ -83,9 +83,10 @@ def slow_ngram_counts(tokens, max_n):
     return counts
 
 
-def slow_stats(hyp_tokens, refs, max_n):
+def slow_stats(hyp, refs, max_n):
     """Nested-loop reference: clip against the max count over references,
-    count hypothesis n-grams one by one."""
+    count the n-grams of the hypothesis text's tokens one by one."""
+    hyp_tokens = hyp.split()
     clip = Counter()
     for ref in refs:
         for gram, count in slow_ngram_counts(ref, max_n).items():
@@ -108,12 +109,13 @@ def sentences(vocab, min_size=0):
 
 @st.composite
 def scoring_cases(draw):
-    """(hypotheses, references) over a 3-6 word vocabulary, so
-    n-grams repeat and clip often; the empty hypothesis is always present."""
+    """(hypothesis texts, reference token tuples) over a 3-6 word
+    vocabulary, so n-grams repeat and clip often; the empty hypothesis is
+    always present."""
     vocab = [f"w{i}" for i in range(draw(st.integers(3, 6)))]
     refs = draw(st.lists(sentences(vocab, min_size=1), min_size=1, max_size=3))
-    hyps = draw(st.lists(sentences(vocab), min_size=1, max_size=6))
-    return [(), *hyps], refs
+    hyps = draw(st.lists(sentences(vocab).map(" ".join), min_size=1, max_size=6))
+    return ["", *hyps], refs
 
 
 @st.composite
@@ -123,7 +125,7 @@ def scoring_lists(draw):
     the references' vocabulary, and one hypothesis twice; the first draw
     turns part of it into memo hits."""
     hyps, refs = draw(scoring_cases())
-    out_of_vocab = draw(sentences(["u0", "u1"], min_size=1))
+    out_of_vocab = " ".join(draw(sentences(["u0", "u1"], min_size=1)))
     lst = draw(st.permutations([*hyps, out_of_vocab, hyps[-1]]))
     return draw(st.lists(st.sampled_from(lst), max_size=3)), lst, refs
 
@@ -146,30 +148,27 @@ class TestReferenceStatsProperties:
     @settings(max_examples=40, deadline=None)
     @given(scoring_cases(), st.data())
     def test_list_extending_the_last_one_passes_only_its_tail(self, case, data):
-        # a tuning pool grows by appending each round's new hypotheses,
-        # which training gives as their texts and a caller may give as tokens
+        # a tuning pool grows by appending each round's new hypotheses
         hyps, refs = case
         profile = ReferenceStats(refs)
         passed = []
         stats_for = profile.stats_for
         profile.stats_for = lambda hyp: passed.append(hyp) or stats_for(hyp)
-        key = {hyp: " ".join(hyp) if data.draw(st.booleans()) else hyp for hyp in hyps}
         lst = []
         for _ in range(4):
-            tail = [key[hyp] for hyp in data.draw(st.lists(st.sampled_from(hyps), max_size=4))]
+            tail = data.draw(st.lists(st.sampled_from(hyps), max_size=4))
             extends = data.draw(st.booleans())
             lst = lst + tail if extends else tail
             passed.clear()
             bleus = profile.sentence_bleus(lst)
-            tokens = [hyp.split() if isinstance(hyp, str) else hyp for hyp in lst]
-            assert bleus == [sentence_bleu(slow_stats(t, refs, MAX_N)) for t in tokens]
+            assert bleus == [sentence_bleu(slow_stats(hyp, refs, MAX_N)) for hyp in lst]
             if extends:
                 assert passed == tail
 
     def test_reference_vocabulary_above_two_to_the_sixteen(self):
         # 70,000 distinct tokens: 4-gram keys built as vocab**4 would pass 2**63
         ref = [f"t{i}" for i in range(70_000)]
-        hyp = ref[-5:] + ref[:3] + ["oov"] + ref[100:104]
+        hyp = " ".join(ref[-5:] + ref[:3] + ["oov"] + ref[100:104])
         s = ReferenceStats([ref]).stats_for(hyp)
         assert s.match == (12, 9, 6, 3)
         assert s.total == (13, 12, 11, 10)
@@ -189,23 +188,27 @@ class TestReferenceStatsProperties:
         hyps, refs = case
         shared = ReferenceStats(refs)
         first = [shared.stats_for(h) for h in hyps]
-        # a second pass is served from the memo, also for list-typed tokens
-        again = [shared.stats_for(list(h)) for h in reversed(hyps)][::-1]
+        # a second pass is served from the memo, also for equal texts that
+        # are other string objects
+        again = [shared.stats_for("".join(list(h))) for h in reversed(hyps)][::-1]
         fresh = [ReferenceStats(refs).stats_for(h) for h in hyps]
         assert first == again == fresh
         assert all(a is b for a, b in zip(first, again))
 
     @pytest.mark.parametrize("order", [1, -1])
-    def test_a_text_and_a_tuple_of_tokens_never_share_a_key(self, order):
-        # the one token "a b" is not the two tokens of the text "a b"
-        hyps = [("a b",), ("a", "b"), "a b", "a  b\t"][::order]
+    def test_a_text_scores_as_its_whitespace_split_tokens(self, order):
+        # "a  b\t" is the two tokens of "a b"; "ab" is one other token
+        hyps = ["a b", "a  b\t", "ab"][::order]
         profile = ReferenceStats([("a", "b")])
         got = [profile.stats_for(h) for h in hyps][::order]
-        one_token = BleuStats((0, 0, 0, 0), (1, 0, 0, 0), 1, 2)
         two_tokens = BleuStats((2, 1, 0, 0), (2, 1, 0, 0), 2, 2)
-        assert got == [one_token, two_tokens, two_tokens, two_tokens]
+        one_token = BleuStats((0, 0, 0, 0), (1, 0, 0, 0), 1, 2)
+        assert got == [two_tokens, two_tokens, one_token]
         bleus = ReferenceStats([("a", "b")]).sentence_bleus(hyps[::order])
         assert bleus == [sentence_bleu(s) for s in got]
+        # a hypothesis has one form, its text: its tokens are not scored
+        with pytest.raises(AttributeError):
+            profile.stats_for(("a", "b"))
 
 
 class TestSentenceBleu:
@@ -326,7 +329,7 @@ class TestGroundTruthPermutation:
 
     def ranks(self, k, rng_seed):
         profile = ReferenceStats([("a", "b", "c", "d")])
-        bleus = profile.sentence_bleus([t.split() for t in ["a x y d", "a b c d", "a b c z"]])
+        bleus = profile.sentence_bleus(["a x y d", "a b c d", "a b c z"])
         return tuple(ground_truth_ranking(bleus, k, rng_seed, 7))
 
     def test_orders_by_sentence_bleu(self):

@@ -56,6 +56,16 @@ def dense(rows):
 FORMAT_CHARS = st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"), blacklist_characters="|")
 
 
+NAME_RULE = "is empty or holds whitespace, '=' or '|||'"
+
+# tokens and feature names over every character, with the pieces that an
+# N-best line gives a meaning of its own drawn often
+LINE_PIECES = st.lists(
+    st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from(["|||", "|", "=", " ", "\t", "\x85"])),
+    max_size=5,
+).map("".join)
+
+
 def hyp(sent_id, tokens, features=None, score=0.0):
     return Hypothesis(tuple(tokens.split()), dict(features or {}), score)
 
@@ -237,8 +247,8 @@ def walked_parse_nbest(text):
 def walked_first_hypotheses(text):
     first = {}
     for line_no, sent_id, fields in _records(text, (2, 4)):
-        tokens = walked_hypothesis(line_no, fields).tokens if len(fields) == 4 else tuple(fields[1].split())
-        first.setdefault(sent_id, tokens)
+        hyp = walked_hypothesis(line_no, fields).text if len(fields) == 4 else " ".join(fields[1].split())
+        first.setdefault(sent_id, hyp)
     return first
 
 
@@ -460,6 +470,40 @@ class TestHypothesisStorage:
         with pytest.raises(ValueError) as err:
             Hypothesis(("x", token), {"f": 1.0}, 0.0)
         assert str(err.value) == f"token {token!r} is empty or holds whitespace"
+
+    @pytest.mark.parametrize(
+        "tokens, features, message",
+        [
+            (("x",), {"x=1 y": 2.0}, f"feature name 'x=1 y' {NAME_RULE}"),
+            (("x",), {"x y": 1.0}, f"feature name 'x y' {NAME_RULE}"),
+            (("x",), {"x=y": 1.0}, f"feature name 'x=y' {NAME_RULE}"),
+            (("x",), {"": 1.0}, f"feature name '' {NAME_RULE}"),
+            (("x",), {"f": 1.0, "x|||y": 1.0}, f"feature name 'x|||y' {NAME_RULE}"),
+            (("x", "a|||b"), {"f": 1.0}, "token 'a|||b' holds '|||'"),
+            (("x", "|||"), {}, "token '|||' holds '|||'"),
+        ],
+    )
+    def test_a_name_or_token_a_line_cannot_carry_back_is_rejected(self, tokens, features, message):
+        # written out, each would parse back as other features or fail to parse
+        with pytest.raises(ValueError) as err:
+            Hypothesis(tokens, features, 0.0)
+        assert str(err.value) == message
+
+    @given(
+        st.lists(LINE_PIECES, max_size=4),
+        st.dictionaries(LINE_PIECES, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_hypothesis_is_refused_or_round_trips(self, tokens, features, score):
+        try:
+            built = Hypothesis(tokens, features, score)
+        except ValueError:
+            return
+        corpus = parse_nbest(write_nbest(Corpus.from_lists([NBestList(0, (built,))])))
+        parsed = corpus.lists[0].hypotheses[0]
+        assert parsed == built
+        assert repr(parsed) == repr(built)
 
     def test_frozen_and_compared_as_tokens_features_and_score(self):
         h = Hypothesis(["a", "b"], {"f": 1.0, "g": -0.5}, 0.25)
@@ -794,7 +838,7 @@ class TestRefs:
         text = "0 ||| a b\n1 ||| d\n"
         refs = parse_refs(text)
         assert refs.profile(0) is refs.profile(0)
-        refs.profile(0).stats_for(("a", "b"))
+        refs.profile(0).stats_for("a b")
         assert refs == parse_refs(text)
         assert repr(refs) == repr(parse_refs(text))
 

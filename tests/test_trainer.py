@@ -392,7 +392,7 @@ class TestResample:
         for lst, inst in zip(corpus.lists, instances):
             lst, _ = dedup(lst)
             profile = ReferenceStats(refs[lst.sent_id])
-            bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
+            bleus = [sentence_bleu(profile.stats_for(h.text)) for h in lst.hypotheses]
             kept = resample(lst, bleus, 9, w, corpus.feature_index, seed)
             assert len(kept.hypotheses) == 9 < len(lst.hypotheses)
             expected = feature_matrix(kept, corpus.feature_index)

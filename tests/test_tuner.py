@@ -22,13 +22,14 @@ from plrank.corpus import (
     DataError,
     NBestList,
     ReferenceSet,
+    Rows,
     model_scores,
     parse_nbest,
     parse_refs,
     weights_vector,
     write_nbest,
 )
-from plrank.trainer import RICHNESS_THRESHOLD, TrainConfig, richness, train
+from plrank.trainer import RICHNESS_THRESHOLD, RichnessReport, TrainConfig, richness, train
 from plrank.tuner import (
     RoundRecord,
     SyntheticDecoder,
@@ -182,7 +183,7 @@ class TestSyntheticDecode:
         corpus = synthetic_decode(spec, refs, {}, 1, 20)
         for lst in corpus.lists:
             profile = ReferenceStats(refs[lst.sent_id])
-            bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
+            bleus = [sentence_bleu(profile.stats_for(h.text)) for h in lst.hypotheses]
             planted = [
                 sum(spec.latent_weights[int(n[1:])] * v for n, v in h.features.items())
                 for h in lst.hypotheses
@@ -195,7 +196,7 @@ class TestSyntheticDecode:
         corpus = synthetic_decode(spec, refs, {}, 1, 200)
         lst = corpus.lists[0]
         profile = ReferenceStats(refs[0])
-        bleus = [sentence_bleu(profile.stats_for(h.tokens)) for h in lst.hypotheses]
+        bleus = [sentence_bleu(profile.stats_for(h.text)) for h in lst.hypotheses]
         planted = [
             sum(spec.latent_weights[int(n[1:])] * v for n, v in h.features.items())
             for h in lst.hypotheses
@@ -291,6 +292,28 @@ class TestFrozenSettings:
         settings = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(settings, field, value)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            TrainConfig,
+            lambda: RichnessReport(2, 3.0, 0.5),
+            tune_cfg,
+            lambda: RoundRecord(1, 20.0, -3.0, 40, 0.5),
+            small_spec,
+            lambda: NBestList(0, ()),
+            lambda: Rows(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), (0, 0)),
+            lambda: Corpus((), {}),
+            lambda: ReferenceSet({}),
+        ],
+        ids=["TrainConfig", "RichnessReport", "TuneConfig", "RoundRecord", "SyntheticDecoderSpec",
+             "NBestList", "Rows", "Corpus", "ReferenceSet"],
+    )
+    def test_a_name_that_is_not_a_field_cannot_be_assigned(self, make):
+        # with slots=True, the generated __setattr__ raises TypeError here
+        frozen = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frozen.foo = 1
 
     def test_replaced_spec_is_checked_and_draws_its_own_planted_model(self):
         spec = small_spec(seed=1)
@@ -536,7 +559,7 @@ class TestPoolState:
             assert again.history == report.history
             top1 = rerank(fresh, w)
             assert top1 == rerank(pool, w)
-            dev_bleu = fresh_refs.bleu((lst.sent_id, lst.hypotheses[0].tokens) for lst in top1)
+            dev_bleu = fresh_refs.bleu((lst.sent_id, lst.hypotheses[0].text) for lst in top1)
             rich = richness(fresh)
             assert (cfg.sample_size is not None) == (rich.r < RICHNESS_THRESHOLD)
             assert record == RoundRecord(
