@@ -108,6 +108,13 @@ MUTANTS = (
         ("tests/test_bleu.py::TestNgramStats::test_perfect_match_counts",),
     ),
     Mutant(
+        "the clip takes the larger of the hypothesis's and the references' counts",
+        "src/plrank/bleu.py",
+        "np.minimum(count, clip[gram])",
+        "np.maximum(count, clip[gram])",
+        ("tests/test_bleu.py::TestNgramStats::test_clipping_against_reference_counts",),
+    ),
+    Mutant(
         "a text is split at single spaces, not at whitespace",
         "src/plrank/bleu.py",
         "[key.split() for key in keys]",
@@ -129,6 +136,13 @@ MUTANTS = (
         ("tests/test_trainer.py::TestLbfgs::test_line_search_failure_reports_not_converged",),
     ),
     Mutant(
+        "the optimizer takes one step past max_iters",
+        "src/plrank/trainer.py",
+        "history[-1][0] < cfg.max_iters",
+        "history[-1][0] <= cfg.max_iters",
+        ("tests/test_trainer.py::TestLbfgs::test_max_iters_one_takes_exactly_one_step",),
+    ),
+    Mutant(
         "resampling draws from the stream of the next seed",
         "src/plrank/trainer.py",
         "substream(rng_seed, RESAMPLE_PURPOSE, sent_id)",
@@ -148,6 +162,20 @@ MUTANTS = (
         'dict(zip(self._names, memoryview(self._values).cast("d")))',
         'dict(zip(self._names, reversed(memoryview(self._values).cast("d"))))',
         ("tests/test_corpus.py::TestHypothesisStorage::test_features_keep_line_order_and_the_line_round_trips",),
+    ),
+    Mutant(
+        "the parser keeps each line's own string for a feature name",
+        "src/plrank/corpus.py",
+        "keys.append(names.setdefault(name, name))",
+        "keys.append(names.setdefault(name, name) and name)",
+        ("tests/test_corpus.py::TestParseNbest::test_each_feature_name_is_one_string",),
+    ),
+    Mutant(
+        "the parser numbers its feature index in sorted order",
+        "src/plrank/corpus.py",
+        "Corpus(lists, dict(zip(names, range(len(names)))))",
+        "Corpus(lists, dict(zip(sorted(names), range(len(names)))))",
+        ("tests/test_corpus.py::TestParseNbest::test_feature_index_first_appearance_order",),
     ),
     Mutant(
         "merge keeps the rows of the hypotheses it drops",
@@ -174,6 +202,13 @@ MUTANTS = (
         "a hypothesis takes any feature name",
         "src/plrank/corpus.py",
         'if name.split() != [name] or "=" in name or "|||" in name:',
+        "if False:",
+        ("tests/test_corpus.py::TestHypothesisStorage::test_a_name_or_token_a_line_cannot_carry_back_is_rejected",),
+    ),
+    Mutant(
+        "a hypothesis takes a non-finite feature value",
+        "src/plrank/corpus.py",
+        "if not math.isfinite(value):",
         "if False:",
         ("tests/test_corpus.py::TestHypothesisStorage::test_a_name_or_token_a_line_cannot_carry_back_is_rejected",),
     ),

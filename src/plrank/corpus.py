@@ -52,8 +52,9 @@ class Hypothesis:
 
     ``Hypothesis(tokens, features, decoder_score)`` raises ValueError on what
     an N-best line could not carry back: a token that is empty or holds
-    whitespace or ``|||``, or a feature name that is empty or holds
-    whitespace, ``=`` or ``|||``.  The hypothesis keeps its tokens as
+    whitespace or ``|||``, a feature name that is empty or holds
+    whitespace, ``=`` or ``|||``, or a feature value or decoder score that
+    is not finite.  The hypothesis keeps its tokens as
     ``text``, joined by single spaces, and its features as their names plus
     their values packed as float64; ``tokens`` (a tuple) and ``features`` (a
     dict, in line order; an absent feature is zero) are built anew on each
@@ -74,10 +75,15 @@ class Hypothesis:
             raise ValueError(f"token {_echo(bad)} is empty or holds whitespace")
         if "|||" in text:
             raise ValueError(f"token {_echo(next(t for t in tokens if '|||' in t))} holds '|||'")
-        for name in features:
+        values = array("d", features.values())
+        for name, value in zip(features, values):
             if name.split() != [name] or "=" in name or "|||" in name:
                 raise ValueError(f"feature name {_echo(name)} is empty or holds whitespace, '=' or '|||'")
-        _fill(self, text, tuple(features), array("d", features.values()).tobytes(), decoder_score)
+            if not math.isfinite(value):
+                raise ValueError(f"feature {_echo(name)} value {_echo(format_float(value))} is not finite")
+        if not math.isfinite(decoder_score):
+            raise ValueError(f"decoder score {_echo(format_float(decoder_score))} is not finite")
+        _fill(self, text, tuple(features), values.tobytes(), decoder_score)
 
     @classmethod
     def _packed(cls, text: str, names: tuple[str, ...], values: bytes, decoder_score: float) -> "Hypothesis":
@@ -128,9 +134,10 @@ def _fill(hyp: Hypothesis, text: str, names: tuple[str, ...], values: bytes, dec
 class NBestList:
     sent_id: int
     hypotheses: tuple[Hypothesis, ...]
-    # set by :func:`dedup` once the list is known to repeat no token
-    # sequence, so it is never searched again
-    _distinct: bool = field(default=False, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.sent_id < 0:
+            raise ValueError(f"sentence id {_echo(str(self.sent_id), quote=False)} is negative")
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -416,18 +423,15 @@ def parse_first_hypotheses(text: str) -> dict[int, str]:
 
 def dedup(lst: NBestList) -> tuple[NBestList, list[int] | None]:
     """The list without repeated token sequences (the first of each kept),
-    marked distinct, and the positions it kept, or None when it keeps them
-    all and so is the list itself.  A marked list is not searched again."""
-    kept = None
-    if not lst._distinct:
-        first: dict[str, int] = {}
-        for i, hyp in enumerate(lst.hypotheses):
-            first.setdefault(hyp.text, i)
-        if len(first) < len(lst.hypotheses):
-            kept = list(first.values())
-            lst = NBestList(lst.sent_id, tuple(map(lst.hypotheses.__getitem__, kept)))
-        object.__setattr__(lst, "_distinct", True)
-    return lst, kept
+    and the positions it kept, or None when it keeps them all and so is the
+    list itself."""
+    first: dict[str, int] = {}
+    for i, hyp in enumerate(lst.hypotheses):
+        first.setdefault(hyp.text, i)
+    if len(first) == len(lst.hypotheses):
+        return lst, None
+    kept = list(first.values())
+    return NBestList(lst.sent_id, tuple(map(lst.hypotheses.__getitem__, kept))), kept
 
 
 def merge(a: Corpus, b: Corpus) -> Corpus:

@@ -65,6 +65,9 @@ LINE_PIECES = st.lists(
     max_size=5,
 ).map("".join)
 
+# feature values and decoder scores, NaN and infinities among them drawn often
+LINE_NUMBERS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
 
 def hyp(sent_id, tokens, features=None, score=0.0):
     return Hypothesis(tuple(tokens.split()), dict(features or {}), score)
@@ -91,8 +94,13 @@ class TestParseNbest:
         assert [h.tokens for h in corpus.lists[0].hypotheses] == [("a",), ("c",)]
 
     def test_feature_index_first_appearance_order(self):
-        corpus = parse_nbest(SAMPLE)
-        assert corpus.feature_index == {"lm": 0, "tm": 1, "wp": 2}
+        # first seen out of sorted order, across lines and sentences
+        corpus = parse_nbest(
+            "0 ||| a ||| wp=1.0 lm=2.0 ||| 0.0\n"
+            "0 ||| b ||| tm=1.0 lm=0.5 ||| 0.0\n"
+            "1 ||| c ||| b=1.0 wp=3.0 ||| 0.0\n"
+        )
+        assert list(corpus.feature_index.items()) == [("wp", 0), ("lm", 1), ("tm", 2), ("b", 3)]
 
     def test_feature_index_is_bijection(self):
         corpus = parse_nbest(SAMPLE)
@@ -472,27 +480,42 @@ class TestHypothesisStorage:
         assert str(err.value) == f"token {token!r} is empty or holds whitespace"
 
     @pytest.mark.parametrize(
-        "tokens, features, message",
+        "tokens, features, message, score",
         [
-            (("x",), {"x=1 y": 2.0}, f"feature name 'x=1 y' {NAME_RULE}"),
-            (("x",), {"x y": 1.0}, f"feature name 'x y' {NAME_RULE}"),
-            (("x",), {"x=y": 1.0}, f"feature name 'x=y' {NAME_RULE}"),
-            (("x",), {"": 1.0}, f"feature name '' {NAME_RULE}"),
-            (("x",), {"f": 1.0, "x|||y": 1.0}, f"feature name 'x|||y' {NAME_RULE}"),
-            (("x", "a|||b"), {"f": 1.0}, "token 'a|||b' holds '|||'"),
-            (("x", "|||"), {}, "token '|||' holds '|||'"),
+            (("x",), {"x=1 y": 2.0}, f"feature name 'x=1 y' {NAME_RULE}", 0.0),
+            (("x",), {"x y": 1.0}, f"feature name 'x y' {NAME_RULE}", 0.0),
+            (("x",), {"x=y": 1.0}, f"feature name 'x=y' {NAME_RULE}", 0.0),
+            (("x",), {"": 1.0}, f"feature name '' {NAME_RULE}", 0.0),
+            (("x",), {"f": 1.0, "x|||y": 1.0}, f"feature name 'x|||y' {NAME_RULE}", 0.0),
+            (("x", "a|||b"), {"f": 1.0}, "token 'a|||b' holds '|||'", 0.0),
+            (("x", "|||"), {}, "token '|||' holds '|||'", 0.0),
+            # the parser's words for the line each would write, less its prefix
+            (("x",), {"f": float("inf")}, "feature 'f' value 'inf' is not finite", 0.0),
+            (("x",), {"f": 1.0, "g": float("-inf")}, "feature 'g' value '-inf' is not finite", 0.0),
+            (("x",), {"f": float("nan")}, "feature 'f' value 'nan' is not finite", 0.0),
+            (("x",), {"f": 1.0}, "decoder score 'nan' is not finite", float("nan")),
+            (("x",), {}, "decoder score '-inf' is not finite", float("-inf")),
         ],
     )
-    def test_a_name_or_token_a_line_cannot_carry_back_is_rejected(self, tokens, features, message):
+    def test_a_name_or_token_a_line_cannot_carry_back_is_rejected(self, tokens, features, message, score):
         # written out, each would parse back as other features or fail to parse
         with pytest.raises(ValueError) as err:
-            Hypothesis(tokens, features, 0.0)
+            Hypothesis(tokens, features, score)
         assert str(err.value) == message
+
+    def test_a_negative_sentence_id_is_rejected(self):
+        # in the parser's words for the line it would write, less its prefix
+        with pytest.raises(ParseError, match="^line 1: sentence id -1 is negative$"):
+            parse_nbest("-1 ||| x ||| f=1.0 ||| 0.0\n")
+        with pytest.raises(ValueError) as err:
+            NBestList(-1, (hyp(0, "x", {"f": 1.0}),))
+        assert str(err.value) == "sentence id -1 is negative"
+        assert NBestList(0, ()).sent_id == 0
 
     @given(
         st.lists(LINE_PIECES, max_size=4),
-        st.dictionaries(LINE_PIECES, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
-        st.floats(allow_nan=False, allow_infinity=False),
+        st.dictionaries(LINE_PIECES, LINE_NUMBERS, max_size=4),
+        LINE_NUMBERS,
     )
     @settings(max_examples=300, deadline=None)
     def test_a_hypothesis_is_refused_or_round_trips(self, tokens, features, score):
@@ -560,7 +583,7 @@ class TestDedup:
         else:
             assert out.sent_id == 3
             assert all(h is lst.hypotheses[i] for h, i in zip(out.hypotheses, kept, strict=True))
-            # the list with repeats is not marked: it gives the same again
+            # dedup keeps nothing between calls: a second one gives the same
             again, kept_again = dedup(lst)
             assert again == out and kept_again == kept
         twice, none = dedup(out)

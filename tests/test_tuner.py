@@ -20,9 +20,12 @@ from plrank.bleu import ReferenceStats, sentence_bleu
 from plrank.corpus import (
     Corpus,
     DataError,
+    Hypothesis,
     NBestList,
     ReferenceSet,
     Rows,
+    dedup,
+    merge,
     model_scores,
     parse_nbest,
     parse_refs,
@@ -508,8 +511,38 @@ class TestRunTuning:
 
 class TestPoolState:
     """A round reuses what earlier rounds left: the rows ``merge`` carries,
-    the BLEU memo and table, the last list's prefix, the distinct marks and
-    the reference profiles.  None of it may change an answer."""
+    the BLEU memo and table, the last list's prefix and the reference
+    profiles.  None of it may change an answer, and no step writes onto the
+    lists it is given."""
+
+    # per list, (text, feature name, value) per hypothesis; three texts, so
+    # some lists repeat a hypothesis and some do not
+    HYPS = st.tuples(st.sampled_from(["a", "b", "a b"]), st.sampled_from("fg"), st.floats(-2, 2))
+    LISTS = st.lists(st.lists(HYPS, min_size=1, max_size=4), min_size=1, max_size=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(LISTS, LISTS)
+    def test_no_step_changes_the_lists_it_is_given(self, drawn_a, drawn_b):
+        def corpus(drawn):
+            return Corpus.from_lists(
+                NBestList(sid, tuple(Hypothesis(text.split(), {name: value}, 0.0) for text, name, value in hyps))
+                for sid, hyps in enumerate(drawn)
+            )
+
+        refs = ReferenceSet({sid: (("a", "b"),) for sid in range(3)})
+        cfg = TrainConfig(k=2, max_iters=5)
+        steps = {
+            "dedup": lambda a, b: [dedup(lst) for lst in a.lists + b.lists],
+            "train": lambda a, b: (train(a, refs, cfg), train(b, refs, cfg)),
+            "richness": lambda a, b: (richness(a), richness(b)),
+            "merge": merge,
+        }
+        for step, call in steps.items():
+            a, b = corpus(drawn_a), corpus(drawn_b)
+            given_lists = a.lists + b.lists
+            before = [dict(vars(lst)) for lst in given_lists]
+            call(a, b)
+            assert [vars(lst) for lst in given_lists] == before, step
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
