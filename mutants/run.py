@@ -82,9 +82,23 @@ MUTANTS = (
     Mutant(
         "training imports the whole scipy.sparse package",
         "src/plrank/likelihood.py",
-        "    import scipy\n",
-        "    import scipy\n    import scipy.sparse\n",
+        '    name = "scipy.sparse._sparsetools"\n',
+        '    import scipy.sparse\n\n    name = "scipy.sparse._sparsetools"\n',
         ("tests/test_cli.py::TestWithoutScipy::test_training_loads_only_the_kernels_module",),
+    ),
+    Mutant(
+        "the kernel loader imports the scipy package",
+        "src/plrank/likelihood.py",
+        '        package = find_spec("scipy")',
+        '        import scipy\n\n        package = find_spec("scipy")',
+        ("tests/test_cli.py::TestWithoutScipy::test_tuning_loads_only_the_kernels_module",),
+    ),
+    Mutant(
+        "rng imports hashlib at module level",
+        "src/plrank/rng.py",
+        "import numpy as np\n",
+        "import hashlib\n\nimport numpy as np\n",
+        ("tests/test_cli.py::TestWithoutScipy::test_importing_the_cli_loads_no_scipy_numpy_ma_or_hashlib",),
     ),
     Mutant(
         "resampling draws Gaussian noise in place of Gumbel",

@@ -91,7 +91,12 @@ def _reference_tables(refs: Sequence[Sequence[str]]):
     for n in range(MAX_N):
         if n:
             keys = _gram_keys(ids, tokens, n, len(vocab))
-            table = np.unique(keys[keys >= 0])
+            # the distinct keys, sorted, as np.unique gives them; np.unique(x)
+            # itself imports numpy.ma (numpy 2.4) to ask whether x is masked
+            table = np.sort(keys[keys >= 0])
+            first = np.ones(table.size, bool)
+            first[1:] = table[1:] != table[:-1]
+            table = table[first]
         if not table.size:
             break
         ids = _lookup(table, keys)

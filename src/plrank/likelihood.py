@@ -168,18 +168,22 @@ def permutation_log_prob(dist: ListDistribution, perm) -> float:
 def _matvecs():
     """scipy's compiled ``csr_matvec`` and ``csc_matvec``: from the package's
     extension module if ``scipy.sparse`` is imported, else from that module
-    loaded by itself (0.1 MB and 0.3 ms, where the package costs 20 MB and over
-    0.1 s) and kept out of ``sys.modules``, so a later ``import scipy.sparse``
-    binds it.  Raises ModuleNotFoundError if scipy or the module file is missing."""
-    import scipy
-
+    loaded by itself and kept out of ``sys.modules``, so a later
+    ``import scipy.sparse`` binds it.  scipy's directory comes from its import
+    spec, so not even scipy's ``__init__`` runs.  In a fresh interpreter that
+    has imported numpy, the module alone adds 0.3 MB of peak memory and under
+    1 ms, ``import scipy`` 1 MB and 17 ms, ``import scipy.sparse`` 21 MB and
+    0.2 s.  Raises ModuleNotFoundError if scipy or the module file is missing."""
     name = "scipy.sparse._sparsetools"
     module = sys.modules.get(name)
     if module is None:
         from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-        from importlib.util import module_from_spec
+        from importlib.util import find_spec, module_from_spec
 
-        where = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+        package = find_spec("scipy")  # None if absent or blocked by a None in sys.modules
+        if package is None or not package.submodule_search_locations:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        where = os.path.join(package.submodule_search_locations[0], "sparse")
         spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
         if spec is None:
             raise ModuleNotFoundError(f"no extension module {name} in {where}", name=name)

@@ -7,8 +7,6 @@ and integer keys, so results do not depend on evaluation order.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -16,6 +14,8 @@ _MASK64 = (1 << 64) - 1
 
 def substream(seed: int, purpose: str, *keys: int) -> np.random.Generator:
     """Return a generator unique to (seed, purpose, *keys)."""
+    import hashlib  # here, so commands that draw nothing load no OpenSSL
+
     tag = int.from_bytes(hashlib.sha256(purpose.encode("utf-8")).digest()[:8], "little")
     entropy = [int(seed) & _MASK64, tag] + [int(k) & _MASK64 for k in keys]
     return np.random.default_rng(entropy)

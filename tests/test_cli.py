@@ -527,24 +527,50 @@ def run_python(code, *argv):
 # ``main`` in an interpreter where every ``import scipy`` raises ImportError
 BLOCKED_MAIN = 'import sys; sys.modules["scipy"] = None; from plrank.cli import main; sys.exit(main(sys.argv[1:]))'
 
+# the pinned modules in ``sys.modules``, sorted: scipy and its submodules,
+# numpy.ma and hashlib
+PINNED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' or m in ('numpy.ma', 'hashlib'))"
+
+# ``main``, then the pinned modules it left loaded, printed to stderr
+PINNED_MAIN = f"import sys; from plrank.cli import main; code = main(sys.argv[1:]); print({PINNED}, file=sys.stderr); sys.exit(code)"
+
+
+# the commands that build no likelihood evaluator, on ``workdir``'s files
+COMMANDS_WITHOUT_TRAINING = [
+    ("rerank", "--nbest", "nbest.txt", "--weights", "weights.txt", "--top", 2),
+    ("evaluate", "--hyp", "nbest.txt", "--refs", "refs.txt"),
+    ("richness", "--nbest", "nbest.txt"),
+]
+
+
+def pinned_after(result):
+    """The pinned modules a ``PINNED_MAIN`` run printed last."""
+    assert result.returncode == 0, result.stderr
+    return result.stderr.splitlines()[-1].decode()
+
 
 class TestWithoutScipy:
     # only a training run's likelihood evaluator imports scipy, and of
-    # scipy.sparse only the extension module with the compiled matvecs
+    # scipy.sparse only the extension module with the compiled matvecs,
+    # without running scipy's __init__.  No command loads numpy.ma, and only
+    # the commands that draw random numbers load hashlib
 
-    def test_importing_the_cli_loads_no_scipy(self):
-        result = run_python("import sys, plrank.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    def test_importing_the_cli_loads_no_scipy_numpy_ma_or_hashlib(self):
+        result = run_python(f"import sys, plrank.cli; print({PINNED})")
         assert result.returncode == 0, result.stderr
         assert result.stdout == b"[]\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("rerank", "--nbest", "nbest.txt", "--weights", "weights.txt", "--top", 2),
-            ("evaluate", "--hyp", "nbest.txt", "--refs", "refs.txt"),
-            ("richness", "--nbest", "nbest.txt"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", COMMANDS_WITHOUT_TRAINING)
+    def test_commands_load_no_scipy_numpy_ma_or_hashlib(self, workdir, capsys, argv):
+        (workdir / "weights.txt").write_text("lm\t2.0\ntm\t-1.0\n")
+        argv = [workdir / a if str(a).endswith(".txt") else a for a in argv]
+        result = run_python(PINNED_MAIN, *argv)
+        assert pinned_after(result) == "[]"
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert result.stdout == stdout.encode()
+
+    @pytest.mark.parametrize("argv", COMMANDS_WITHOUT_TRAINING)
     def test_commands_run_with_scipy_blocked(self, workdir, capsys, argv):
         (workdir / "weights.txt").write_text("lm\t2.0\ntm\t-1.0\n")
         argv = [workdir / a if str(a).endswith(".txt") else a for a in argv]
@@ -557,16 +583,11 @@ class TestWithoutScipy:
     def test_training_loads_only_the_kernels_module(self, workdir, capsys):
         # tier-1's own modules import scipy.sparse, so only a fresh
         # interpreter shows what training itself loads; the kernels' module
-        # is loaded, but leaves no scipy.sparse entry in sys.modules
-        code = (
-            "import sys; from plrank.cli import main; code = main(sys.argv[1:]); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')), file=sys.stderr); "
-            "sys.exit(code)"
-        )
+        # is loaded, but leaves no scipy entry in sys.modules.  numpy.random
+        # loads hashlib, so training may
         args = ("--nbest", workdir / "nbest.txt", "--refs", workdir / "refs.txt", "--k", 2)
-        result = run_python(code, "train", *args, "--out", workdir / "fresh.txt")
-        assert result.returncode == 0, result.stderr
-        assert result.stderr.splitlines()[-1] == b"[]"
+        result = run_python(PINNED_MAIN, "train", *args, "--out", workdir / "fresh.txt")
+        assert pinned_after(result) in ("[]", "['hashlib']")
         status, stdout, _ = run(capsys, "train", *args, "--out", workdir / "in-process.txt")
         assert status == 0
         assert result.stdout == stdout.encode()
@@ -584,14 +605,25 @@ class TestWithoutScipy:
                             "--out", workdir / "w.txt")
         assert result.returncode == 0, result.stderr
 
+    def test_tuning_loads_only_the_kernels_module(self, simdir, capsys):
+        # each round trains, so each builds the likelihood evaluator
+        args = ("--spec", simdir / "spec.txt", "--refs", simdir / "refs.txt", "--rounds", 2, "--per-round", 5)
+        result = run_python(PINNED_MAIN, "tune-sim", *args, "--out", simdir / "fresh.txt")
+        assert pinned_after(result) in ("[]", "['hashlib']")
+        status, stdout, _ = run(capsys, "tune-sim", *args, "--out", simdir / "in-process.txt")
+        assert status == 0
+        assert result.stdout == stdout.encode()
+        assert (simdir / "fresh.txt").read_bytes() == (simdir / "in-process.txt").read_bytes()
+
     def test_a_missing_kernels_module_is_named(self, tmp_path):
-        # a scipy whose directory lacks the extension: the error names the
-        # directory searched, and nothing else of scipy.sparse is tried
+        # a stand-in scipy package first on sys.path, without the extension:
+        # the error names the directory searched, and no __init__ of scipy
+        # or scipy.sparse runs
         where = tmp_path / "scipy"
-        code = (
-            "import scipy; from plrank.likelihood import _matvecs; "
-            f"scipy.__file__ = {str(where / '__init__.py')!r}; _matvecs()"
-        )
+        (where / "sparse").mkdir(parents=True)
+        (where / "__init__.py").write_text("raise ImportError('scipy/__init__.py ran')\n")
+        (where / "sparse" / "__init__.py").write_text("raise ImportError('scipy/sparse/__init__.py ran')\n")
+        code = f"import sys; sys.path.insert(0, {str(tmp_path)!r}); from plrank.likelihood import _matvecs; _matvecs()"
         result = run_python(code)
         assert result.returncode == 1
         message = f"ModuleNotFoundError: no extension module scipy.sparse._sparsetools in {where / 'sparse'}"
